@@ -16,20 +16,29 @@ Frames:
       the frame the hand retarget operates in;
     * the robot's neutral stance is its model frame: standing at the
       origin facing +x, all link orientations identity.
+
+A LinkSet holds its six poses as one read-only (6, 7) float64 array, the
+wire layout: row i is link LINKS[i] (pelvis, torso, left_hand,
+right_hand, left_foot, right_foot), columns are the translation x, y, z
+in meters, then the unit quaternion w, x, y, z with w >= 0. map_frame
+reads those 42 values once and runs the retarget on plain floats through
+the se3 kernels; Pose and Rotation views are built only on request.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ExtremControlError
-from .se3 import Pose, Rotation, align_axis, relative
+from .se3 import Pose, Rotation, _locked, align_axis, qconj, qmul, qrotate, qunit, relative
 
 LINKS = ("pelvis", "torso", "left_hand", "right_hand", "left_foot", "right_foot")
 SIDES = ("left", "right")
+_ROW = {name: i for i, name in enumerate(LINKS)}
 
 MIN_PELVIS_HEIGHT_M = 0.3
 MIN_ARM_LENGTH_M = 0.1
@@ -43,37 +52,85 @@ class DegenerateHeadset(ExtremControlError):
     """Headset direction too short to define a torso axis."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class LinkSet:
-    """One pose per tracked link (see LINKS for the canonical order)."""
+    """One pose per tracked link, as a read-only (6, 7) array (see module doc).
 
-    pelvis: Pose
-    torso: Pose
-    left_hand: Pose
-    right_hand: Pose
-    left_foot: Pose
-    right_foot: Pose
+    LinkSet(pelvis, torso, left_hand, right_hand, left_foot, right_foot)
+    takes Poses, positionally or by name; from_array takes the array.
+    """
+
+    array: np.ndarray
+
+    def __init__(self, pelvis: Pose, torso: Pose, left_hand: Pose, right_hand: Pose,
+                 left_foot: Pose, right_foot: Pose) -> None:
+        poses = (pelvis, torso, left_hand, right_hand, left_foot, right_foot)
+        rows = [p.translation.tolist() + p.rotation.q.tolist() for p in poses]
+        object.__setattr__(self, "array", _locked(np.array(rows)))
+
+    @staticmethod
+    def from_array(array) -> "LinkSet":
+        """Validate a (6, 7) array as the Pose and Rotation constructors do:
+        finite translations, each quaternion through se3.qunit."""
+        a = np.asarray(array, dtype=float)
+        if a.shape != (len(LINKS), 7):
+            raise ValueError(f"LinkSet array shape {a.shape}, expected ({len(LINKS)}, 7)")
+        return _validated(a.ravel().tolist())
+
+    pelvis = property(lambda self: self.pose("pelvis"))
+    torso = property(lambda self: self.pose("torso"))
+    left_hand = property(lambda self: self.pose("left_hand"))
+    right_hand = property(lambda self: self.pose("right_hand"))
+    left_foot = property(lambda self: self.pose("left_foot"))
+    right_foot = property(lambda self: self.pose("right_foot"))
 
     def pose(self, link: str) -> Pose:
-        if link not in LINKS:
-            raise ValueError(f"unknown link {link!r}")
-        return getattr(self, link)
+        row = self.array[_row(link)]
+        return Pose(Rotation(row[3:]), row[:3])
 
     def with_pose(self, link: str, pose: Pose) -> "LinkSet":
-        if link not in LINKS:
-            raise ValueError(f"unknown link {link!r}")
-        return replace(self, **{link: pose})
+        a = self.array.copy()
+        a[_row(link)] = pose.translation.tolist() + pose.rotation.q.tolist()
+        return _wrap(a)
 
     def transform(self, fn) -> "LinkSet":
         """Apply a Pose -> Pose function to every link."""
         return LinkSet(*(fn(self.pose(name)) for name in LINKS))
 
     def to_dict(self) -> dict:
-        return {name: self.pose(name).to_dict() for name in LINKS}
+        rows = self.array.tolist()
+        return {name: {"q": row[3:], "p": row[:3]} for name, row in zip(LINKS, rows)}
 
     @staticmethod
     def from_dict(d: dict) -> "LinkSet":
-        return LinkSet(*(Pose.from_dict(d[name]) for name in LINKS))
+        p = np.array([d[name]["p"] for name in LINKS], dtype=float).reshape(len(LINKS), 3)
+        q = np.array([d[name]["q"] for name in LINKS], dtype=float).reshape(len(LINKS), 4)
+        return LinkSet.from_array(np.concatenate([p, q], axis=1))
+
+
+def _row(link: str) -> int:
+    try:
+        return _ROW[link]
+    except KeyError:
+        raise ValueError(f"unknown link {link!r}") from None
+
+
+def _wrap(a: np.ndarray) -> LinkSet:
+    """A LinkSet around an array that already holds valid poses."""
+    links = object.__new__(LinkSet)
+    object.__setattr__(links, "array", _locked(a))
+    return links
+
+
+def _validated(values: list) -> LinkSet:
+    """LinkSet from 42 floats in row order: each quaternion through qunit,
+    then every translation finite (a quaternion that passed is finite)."""
+    for k in range(3, len(values), 7):
+        values[k : k + 4] = qunit(*values[k : k + 4])
+    if not all(map(math.isfinite, values)):
+        link = next(LINKS[i // 7] for i, v in enumerate(values) if not math.isfinite(v))
+        raise ValueError(f"non-finite {link} translation")
+    return _wrap(np.array(values, dtype=float).reshape(len(LINKS), 7))
 
 
 @dataclass(frozen=True)
@@ -145,6 +202,41 @@ class CalibrationProfile:
     def scale(self) -> float:
         """Robot-to-performer pelvis height ratio z^r / z^h."""
         return self.robot.pelvis_height / self.pelvis_height
+
+    @cached_property
+    def _retarget(self) -> tuple:
+        """map_frame's per-profile constants as plain floats, derived on
+        first use and kept for the life of this (frozen) profile."""
+        # anchor.inverse() in kernel form: (q*, -(q* t))
+        to_anchor_q = qconj(self.anchor.rotation.q.tolist())
+        x, y, z = qrotate(to_anchor_q, self.anchor.translation.tolist())
+        robot = self.robot
+
+        def floats(v) -> tuple:
+            return tuple(float(c) for c in v)
+
+        hands = tuple(
+            (
+                floats(self.shoulder[side]),
+                robot.arm_length[side] / self.arm_length[side],
+                floats(robot.shoulder_offset[side]),
+                floats(self.rot_offset[f"{side}_hand"].q),
+            )
+            for side in SIDES
+        )
+        feet = tuple(
+            (floats(self.rot_offset[f"{side}_foot"].q), floats(self.foot_offset[side]))
+            for side in SIDES
+        )
+        return (
+            (to_anchor_q, (-x, -y, -z)),
+            self.scale,
+            floats(self.rot_offset["pelvis"].q),
+            floats(self.rot_offset["torso"].q),
+            floats(robot.pelvis_to_torso),
+            hands,
+            feet,
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -235,6 +327,13 @@ def calibrate(neutral: LinkSet, robot: RobotModel) -> CalibrationProfile:
     )
 
 
+def _compose(qa, ta, qb, tb) -> tuple:
+    """Pose product (qa, ta) * (qb, tb) on floats, as Pose.compose."""
+    rx, ry, rz = qrotate(qa, tb)
+    x, y, z = ta
+    return qmul(qa, qb), (x + rx, y + ry, z + rz)
+
+
 def map_frame(profile: CalibrationProfile, human: LinkSet) -> LinkSet:
     """Retarget one captured frame to robot link targets.
 
@@ -244,38 +343,43 @@ def map_frame(profile: CalibrationProfile, human: LinkSet) -> LinkSet:
     retargeted torso-relative with shoulder re-anchoring and arm-length
     scaling. Orientations compose the performer's rotation with the
     calibrated offset. Stateless: same input frame, same output.
+
+    Runs the Pose algebra of the formulas above on plain floats, operation
+    for operation, so the result is bit-identical to composing Poses.
     """
-    to_anchor = profile.anchor.inverse()
-    local = human.transform(to_anchor.compose)
-    robot = profile.robot
-    s = profile.scale
+    (qa, ta), s, pelvis_off, torso_off, pelvis_to_torso, hands, feet = profile._retarget
+    v = human.array.ravel().tolist()
+    # Every link re-expressed in the calibration anchor frame.
+    local = [_compose(qa, ta, v[k + 3 : k + 7], v[k : k + 3]) for k in range(0, len(v), 7)]
+    (qp, tp), (qt, tt) = local[0], local[1]
 
-    pelvis = Pose(
-        local.pelvis.rotation.compose(profile.rot_offset["pelvis"]),
-        s * local.pelvis.translation,
-    )
-    torso = Pose(
-        local.torso.rotation.compose(profile.rot_offset["torso"]),
-        pelvis.translation + pelvis.rotation.apply(np.asarray(robot.pelvis_to_torso, dtype=float)),
-    )
+    pelvis_q = qmul(qp, pelvis_off)
+    pelvis_t = (s * tp[0], s * tp[1], s * tp[2])
+    torso_q = qmul(qt, torso_off)
+    r = qrotate(pelvis_q, pelvis_to_torso)
+    torso_t = (pelvis_t[0] + r[0], pelvis_t[1] + r[1], pelvis_t[2] + r[2])
+    out = [*pelvis_t, *pelvis_q, *torso_t, *torso_q]
 
-    out = {"pelvis": pelvis, "torso": torso}
-    for side in SIDES:
-        foot_local = local.pose(f"{side}_foot")
-        out[f"{side}_foot"] = Pose(
-            foot_local.rotation.compose(profile.rot_offset[f"{side}_foot"]),
-            s * foot_local.translation + profile.foot_offset[side],
+    # Hands: relative to the performer's torso, re-anchored and scaled.
+    inv_q = qconj(qt)
+    r = qrotate(inv_q, tt)
+    inv_t = (-r[0], -r[1], -r[2])
+    for (qh, th), (shoulder, ratio, robot_shoulder, off) in zip(local[2:4], hands):
+        rel_q, (x, y, z) = _compose(inv_q, inv_t, qh, th)
+        anchored = (
+            (x - shoulder[0]) * ratio + robot_shoulder[0],
+            (y - shoulder[1]) * ratio + robot_shoulder[1],
+            (z - shoulder[2]) * ratio + robot_shoulder[2],
         )
-        rel = relative(local.torso, local.pose(f"{side}_hand"))
-        ratio = robot.arm_length[side] / profile.arm_length[side]
-        anchored = (rel.translation - profile.shoulder[side]) * ratio + np.asarray(
-            robot.shoulder_offset[side], dtype=float
-        )
-        out[f"{side}_hand"] = torso.compose(
-            Pose(rel.rotation.compose(profile.rot_offset[f"{side}_hand"]), anchored)
-        )
+        hand_q, hand_t = _compose(torso_q, torso_t, qmul(rel_q, off), anchored)
+        out += (*hand_t, *hand_q)
 
-    return LinkSet(*(out[name] for name in LINKS))
+    for (qf, (x, y, z)), (off, (dx, dy, dz)) in zip(local[4:], feet):
+        out += (s * x + dx, s * y + dy, s * z + dz, *qmul(qf, off))
+
+    if not all(map(math.isfinite, out)):
+        raise ValueError("non-finite mapped translation")
+    return _wrap(np.array(out, dtype=float).reshape(len(LINKS), 7))
 
 
 def torso_from_headset(pelvis: Pose, headset_position: np.ndarray) -> Rotation:

@@ -7,6 +7,13 @@ Conventions:
     * ``compose(a, b)`` applies ``b`` first, then ``a`` (matrix convention).
 
 All types are immutable; every operation returns a new value.
+
+The arithmetic lives in three plain-float kernels, ``qmul`` (Hamilton
+product), ``qrotate`` and ``qconj``, plus ``qunit``, the one rule that
+validates and canonicalizes a quaternion. ``Rotation`` and ``Pose`` call
+them, and so does ``mapping.map_frame``, which runs on bare floats to
+avoid building per-link objects on the per-frame path. Quaternions are
+tuples ``(w, x, y, z)``, vectors ``(x, y, z)``.
 """
 
 from __future__ import annotations
@@ -30,6 +37,59 @@ def _locked(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def qunit(w: float, x: float, y: float, z: float) -> tuple:
+    """The canonical unit quaternion for (w, x, y, z).
+
+    Divides by the norm only when it is more than 1e-12 from 1, so a stored
+    canonical quaternion passes through bit-stable (wire round trips rely
+    on it), then flips the sign to w >= 0. Raises ZeroVector when the norm
+    is not finite or <= 1e-12.
+    """
+    norm = math.sqrt(w * w + x * x + y * y + z * z)
+    if not _UNIT_EPS < norm < math.inf:
+        raise ZeroVector(f"quaternion norm {norm} is not normalizable")
+    if abs(norm - 1.0) > _UNIT_EPS:
+        w, x, y, z = w / norm, x / norm, y / norm, z / norm
+    if w < 0.0:
+        return (-w, -x, -y, -z)
+    return (w, x, y, z)
+
+
+def qmul(a, b) -> tuple:
+    """Hamilton product a * b (b applied first), canonicalized by qunit."""
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return qunit(
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
+
+
+def qconj(q) -> tuple:
+    """Conjugate, the inverse of a unit quaternion."""
+    w, x, y, z = q
+    return (w, -x, -y, -z)
+
+
+def qrotate(q, v) -> tuple:
+    """Rotate v by unit quaternion q: v + w t + u x t with t = 2 u x v.
+
+    The components of v may be floats or equal-shape arrays.
+    """
+    w, ux, uy, uz = q
+    vx, vy, vz = v
+    tx = 2.0 * (uy * vz - uz * vy)
+    ty = 2.0 * (uz * vx - ux * vz)
+    tz = 2.0 * (ux * vy - uy * vx)
+    return (
+        vx + w * tx + (uy * tz - uz * ty),
+        vy + w * ty + (uz * tx - ux * tz),
+        vz + w * tz + (ux * ty - uy * tx),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class Rotation:
     """Unit quaternion (w, x, y, z), w >= 0."""
@@ -37,17 +97,8 @@ class Rotation:
     q: np.ndarray
 
     def __post_init__(self) -> None:
-        q = np.asarray(self.q, dtype=float).reshape(4).copy()
-        norm = math.sqrt(float(np.dot(q, q)))
-        if not math.isfinite(norm) or norm <= _UNIT_EPS:
-            raise ZeroVector(f"quaternion norm {norm} is not normalizable")
-        # Skip the divide when already unit so construction from a stored
-        # canonical quaternion is bit-stable (wire round trips rely on it).
-        if abs(norm - 1.0) > _UNIT_EPS:
-            q = q / norm
-        if q[0] < 0.0:
-            q = -q
-        object.__setattr__(self, "q", _locked(q))
+        q = np.asarray(self.q, dtype=float).reshape(4)
+        object.__setattr__(self, "q", _locked(np.array(qunit(*q.tolist()))))
 
     @staticmethod
     def identity() -> "Rotation":
@@ -70,33 +121,18 @@ class Rotation:
 
     def compose(self, other: "Rotation") -> "Rotation":
         """Hamilton product self * other (other applied first)."""
-        w1, x1, y1, z1 = self.q
-        w2, x2, y2, z2 = other.q
-        return Rotation(
-            np.array(
-                [
-                    w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-                    w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-                    w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-                    w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-                ]
-            )
-        )
+        return Rotation(np.array(qmul(self.q.tolist(), other.q.tolist())))
 
     def __mul__(self, other: "Rotation") -> "Rotation":
         return self.compose(other)
 
     def inverse(self) -> "Rotation":
-        w, x, y, z = self.q
-        return Rotation(np.array([w, -x, -y, -z]))
+        return Rotation(np.array(qconj(self.q.tolist())))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Rotate one 3-vector (or an (..., 3) stack of them)."""
-        v = np.asarray(v, dtype=float)
-        w = self.q[0]
-        u = self.q[1:]
-        t = 2.0 * np.cross(u, v)
-        return v + w * t + np.cross(u, t)
+        v = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
+        return np.stack(qrotate(self.q.tolist(), v), axis=-1)
 
     def angle(self) -> float:
         """Rotation magnitude in radians, in [0, pi]."""
@@ -135,7 +171,7 @@ class Pose:
 
     def __post_init__(self) -> None:
         p = np.asarray(self.translation, dtype=float).reshape(3).copy()
-        if not np.all(np.isfinite(p)):
+        if not all(map(math.isfinite, p.tolist())):
             raise ValueError(f"non-finite translation {p}")
         object.__setattr__(self, "translation", _locked(p))
 

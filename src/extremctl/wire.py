@@ -8,22 +8,21 @@ timestamp. Layout, little-endian throughout:
     right_hand, left_foot, right_foot): translation x,y,z f64, then
     quaternion w,x,y,z f64
 
-4 + 1 + 4 + 8 + 6*56 = 353 bytes. Encoding is bit-exact: a decoded frame
-re-encodes to the identical bytes (link rotations are stored canonically,
-w >= 0, unit norm).
+4 + 1 + 4 + 8 + 6*56 = 353 bytes. The 42 values are the LinkSet array in
+row order, so decoding is one unpack and encoding packs the array as is.
+Encoding is bit-exact: a decoded frame re-encodes to the identical bytes
+(link rotations are stored canonically, w >= 0, unit norm).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import threading
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ExtremControlError
-from .mapping import LINKS, LinkSet
-from .se3 import Pose, Rotation
+from .mapping import LINKS, LinkSet, _validated
 
 MAGIC = b"XCTL"
 VERSION = 1
@@ -41,7 +40,7 @@ class BadVersion(ExtremControlError):
 
 
 class NonUnitQuaternion(ExtremControlError):
-    """A link quaternion deviates from unit norm by more than 1e-6."""
+    """A link quaternion's norm is not within 1e-6 of 1 (NaN and inf included)."""
 
 
 class ShortRead(ExtremControlError):
@@ -63,36 +62,34 @@ class PoseFrame:
             raise ValueError(f"timestamp_ns {self.timestamp_ns} outside u64 range")
 
 
+def _check_norms(values: list) -> None:
+    """Refuse a link quaternion whose norm is not within QUAT_NORM_TOL of 1.
+    Written `not ... <= tol` so that a NaN norm is refused too."""
+    for k in range(3, len(values), 7):
+        w, x, y, z = values[k : k + 4]
+        norm = math.sqrt(w * w + x * x + y * y + z * z)
+        if not abs(norm - 1.0) <= QUAT_NORM_TOL:
+            raise NonUnitQuaternion(f"{LINKS[k // 7]} quaternion norm {norm:.9f}")
+
+
 def encode_frame(frame: PoseFrame) -> bytes:
-    values: list[float] = []
-    for name in LINKS:
-        pose = frame.links.pose(name)
-        q = pose.rotation.q
-        if abs(float(q @ q) - 1.0) > 2 * QUAT_NORM_TOL:
-            raise NonUnitQuaternion(f"{name} quaternion norm^2 {float(q @ q):.9f}")
-        values.extend(pose.translation.tolist())
-        values.extend(q.tolist())
+    values = frame.links.array.ravel().tolist()
+    _check_norms(values)
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"non-finite translation in frame {frame.seq}")
     return FRAME_STRUCT.pack(MAGIC, VERSION, frame.seq, frame.timestamp_ns, *values)
 
 
 def decode_frame(buf: bytes) -> PoseFrame:
     if len(buf) < FRAME_SIZE:
         raise ShortRead(f"{len(buf)} bytes, need {FRAME_SIZE}")
-    magic, version, seq, timestamp_ns, *values = FRAME_STRUCT.unpack(buf[:FRAME_SIZE])
+    magic, version, seq, timestamp_ns, *values = FRAME_STRUCT.unpack_from(buf)
     if magic != MAGIC:
         raise BadMagic(f"{magic!r}")
     if version != VERSION:
         raise BadVersion(f"version {version}, expected {VERSION}")
-    poses = {}
-    for i, name in enumerate(LINKS):
-        chunk = values[i * 7 : i * 7 + 7]
-        t = np.asarray(chunk[:3])
-        q = np.asarray(chunk[3:])
-        norm = float(np.linalg.norm(q))
-        if abs(norm - 1.0) > QUAT_NORM_TOL:
-            raise NonUnitQuaternion(f"{name} quaternion norm {norm:.9f}")
-        poses[name] = Pose(Rotation(q), t)
-    return PoseFrame(seq=seq, timestamp_ns=timestamp_ns, links=LinkSet(**poses))
+    _check_norms(values)
+    return PoseFrame(seq=seq, timestamp_ns=timestamp_ns, links=_validated(values))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from extremctl.mapping import (
+    LINKS,
     DegenerateHeadset,
     DegenerateNeutral,
     LinkSet,
@@ -14,7 +15,8 @@ from extremctl.mapping import (
     map_frame,
     torso_from_headset,
 )
-from extremctl.se3 import Pose, Rotation, relative
+from extremctl.se3 import Pose, Rotation, ZeroVector, relative
+from extremctl.wire import PoseFrame, decode_frame, encode_frame
 
 
 def make_robot():
@@ -278,3 +280,134 @@ def test_profile_json_round_trip():
         Pose(Rotation.identity(), human.right_hand.translation + np.array([0.05, 0.02, -0.04])),
     )
     assert links_close(map_frame(back, frame), map_frame(prof, frame), tol=1e-15)
+
+
+def reference_map_frame(prof, human):
+    """map_frame written in Pose/Rotation algebra, in the order of
+    operations the plain-float path must reproduce bit for bit: anchor
+    inverse, per-link compose, `relative` for the hands, torso compose."""
+    robot, s = prof.robot, prof.scale
+    to_anchor = prof.anchor.inverse()
+    local = {name: to_anchor.compose(human.pose(name)) for name in LINKS}
+    pelvis = Pose(
+        local["pelvis"].rotation.compose(prof.rot_offset["pelvis"]),
+        s * local["pelvis"].translation,
+    )
+    torso = Pose(
+        local["torso"].rotation.compose(prof.rot_offset["torso"]),
+        pelvis.translation + pelvis.rotation.apply(np.asarray(robot.pelvis_to_torso, dtype=float)),
+    )
+    out = {"pelvis": pelvis, "torso": torso}
+    for side in ("left", "right"):
+        foot = local[f"{side}_foot"]
+        out[f"{side}_foot"] = Pose(
+            foot.rotation.compose(prof.rot_offset[f"{side}_foot"]),
+            s * foot.translation + prof.foot_offset[side],
+        )
+        rel = relative(local["torso"], local[f"{side}_hand"])
+        ratio = robot.arm_length[side] / prof.arm_length[side]
+        anchored = (rel.translation - prof.shoulder[side]) * ratio + np.asarray(
+            robot.shoulder_offset[side], dtype=float
+        )
+        out[f"{side}_hand"] = torso.compose(
+            Pose(rel.rotation.compose(prof.rot_offset[f"{side}_hand"]), anchored)
+        )
+    return LinkSet(**out)
+
+
+def random_rotation(rng, scale=1.0):
+    return Rotation.from_axis_angle(rng.normal(size=3), rng.uniform(-np.pi, np.pi) * scale)
+
+
+def random_frames(rng, neutral, n):
+    """Frames around the neutral: per-link rotation and translation noise.
+    Every fourth frame stores quaternions off unit norm by up to 0.9e-12,
+    which LinkSet keeps as is but whose products get renormalized."""
+    for k in range(n):
+        a = np.array(neutral.array)
+        for i in range(len(LINKS)):
+            a[i, :3] += rng.normal(scale=0.2, size=3)
+            a[i, 3:] = random_rotation(rng).compose(Rotation(a[i, 3:])).q
+            if k % 4 == 3:
+                a[i, 3:] *= 1.0 + rng.uniform(-0.9e-12, 0.9e-12)
+        yield LinkSet.from_array(a)
+
+
+def test_map_frame_bit_identical_to_pose_algebra():
+    robot = make_robot()
+    rng = np.random.default_rng(35)
+    base = make_human(pelvis_z=0.96, hand_local=(0.55, 0.22, 0.28), foot_local=(0.02, 0.11, 0.015))
+    frames = 0
+    for _ in range(4):
+        yaw = rng.uniform(-np.pi, np.pi)
+        origin = np.array([rng.uniform(-3, 3), rng.uniform(-3, 3), 0.0])
+        neutral = base.transform(
+            lambda p: yawed(Pose(p.rotation.compose(random_rotation(rng, 0.1)), p.translation),
+                            yaw, origin)
+        )
+        prof = calibrate(neutral, robot)
+        for human in random_frames(rng, neutral, 60):
+            got = map_frame(prof, human)
+            assert np.array_equal(got.array, reference_map_frame(prof, human).array)
+            q = got.array[:, 3:]
+            assert np.all(q[:, 0] >= 0.0)
+            assert np.abs(np.sqrt(np.sum(q * q, axis=1)) - 1.0).max() <= 1e-12
+            back = decode_frame(encode_frame(PoseFrame(seq=frames, timestamp_ns=0, links=got)))
+            assert np.array_equal(back.links.array, got.array)
+            frames += 1
+    assert frames == 240
+
+
+def test_linkset_array_is_one_read_only_layout():
+    rng = np.random.default_rng(36)
+    poses = [Pose(random_rotation(rng), rng.normal(size=3)) for _ in LINKS]
+    by_position = LinkSet(*poses)
+    by_name = LinkSet(**dict(zip(LINKS, poses)))
+    from_array = LinkSet.from_array(by_position.array)
+    decoded = decode_frame(encode_frame(PoseFrame(seq=1, timestamp_ns=2, links=by_name))).links
+    assert by_position.array.shape == (6, 7) and by_position.array.dtype == np.float64
+    for links in (by_name, from_array, decoded):
+        assert np.array_equal(links.array, by_position.array)
+    for i, name in enumerate(LINKS):
+        assert np.array_equal(by_position.array[i, :3], poses[i].translation)
+        assert np.array_equal(by_position.array[i, 3:], poses[i].rotation.q)
+        assert np.array_equal(getattr(decoded, name).rotation.q, poses[i].rotation.q)
+    mapped = map_frame(calibrate(make_human(), make_robot()), make_human())
+    for links in (by_position, by_name, from_array, decoded, mapped):
+        assert not links.array.flags.writeable
+        with pytest.raises(ValueError):
+            links.array[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            links.array = np.zeros((6, 7))
+
+
+def test_linkset_from_array_validates_like_the_constructors():
+    rng = np.random.default_rng(37)
+    good = LinkSet(*(Pose(random_rotation(rng), rng.normal(size=3)) for _ in LINKS)).array
+
+    a = good.copy()
+    a[2, 3:] = -2.0 * a[2, 3:]  # off norm and w < 0: renormalized, flipped
+    got = LinkSet.from_array(a)
+    assert np.array_equal(got.array[2, 3:], Rotation(a[2, 3:]).q)
+    assert got.array[2, 3] >= 0.0
+
+    a = good.copy()
+    a[4, 3:] *= 1.0 + 0.5e-12  # within 1e-12 of unit: stored as given
+    assert np.array_equal(LinkSet.from_array(a).array, a)
+
+    a = good.copy()
+    a[1, 3:] = 0.0
+    with pytest.raises(ZeroVector):
+        LinkSet.from_array(a)
+    a = good.copy()
+    a[1, 5] = np.nan
+    with pytest.raises(ZeroVector):
+        LinkSet.from_array(a)
+    a = good.copy()
+    a[5, 1] = np.inf
+    with pytest.raises(ValueError):
+        LinkSet.from_array(a)
+    with pytest.raises(ValueError):
+        LinkSet.from_array(good[:5])
+    with pytest.raises(ValueError):
+        make_human().pose("head")

@@ -185,3 +185,13 @@ def test_apply_matches_matrix():
         v = rng.normal(size=3)
         assert np.abs(p.rotation.apply(v) - p.rotation.as_matrix() @ v).max() < 1e-12
         assert np.abs(p.apply(v) - (p.rotation.as_matrix() @ v + p.translation)).max() < 1e-12
+
+
+def test_apply_stack_matches_single_vectors():
+    rng = np.random.default_rng(23)
+    r = random_pose(rng).rotation
+    v = rng.normal(size=(4, 5, 3))
+    got = r.apply(v)
+    assert got.shape == v.shape
+    for idx in np.ndindex(4, 5):
+        assert np.array_equal(got[idx], r.apply(v[idx]))

@@ -1,6 +1,9 @@
 """Frame codec layout, bit-exact round trips, malformed-buffer refusal,
 and latest-value mailbox semantics."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -132,3 +135,123 @@ def test_mailbox_counts_writes():
     for k in range(4):
         box.write(random_frame(rng, seq=k))
     assert box.writes == 4
+
+
+def test_decode_refuses_nan_and_infinite_quaternions_as_non_unit():
+    rng = np.random.default_rng(10)
+    good = encode_frame(random_frame(rng))
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        wire = bytearray(good)
+        struct.pack_into("<d", wire, 17 + 56 + 24 + 8, bad)  # torso quaternion x
+        with pytest.raises(NonUnitQuaternion):
+            decode_frame(bytes(wire))
+
+
+def test_decode_refuses_non_finite_translation_with_value_error():
+    rng = np.random.default_rng(11)
+    good = encode_frame(random_frame(rng))
+    for bad in (float("nan"), float("inf")):
+        wire = bytearray(good)
+        struct.pack_into("<d", wire, 17 + 5 * 56 + 8, bad)  # right_foot y
+        with pytest.raises(ValueError) as info:
+            decode_frame(bytes(wire))
+        assert not isinstance(info.value, NonUnitQuaternion)
+
+
+def test_encode_refuses_unchecked_non_finite_or_non_unit_array():
+    # A LinkSet whose array bypassed validation must not reach the wire.
+    rng = np.random.default_rng(12)
+    frame = random_frame(rng)
+    for row, col, value, error in (
+        (1, 4, np.nan, NonUnitQuaternion),
+        (2, 3, 0.5, NonUnitQuaternion),
+        (3, 0, np.inf, ValueError),
+        (4, 2, np.nan, ValueError),
+    ):
+        a = frame.links.array.copy()
+        a[row, col] = value
+        links = LinkSet.from_array(frame.links.array)
+        object.__setattr__(links, "array", a)
+        with pytest.raises(error):
+            encode_frame(PoseFrame(seq=0, timestamp_ns=0, links=links))
+
+
+def test_decode_reads_the_linkset_array_in_wire_order():
+    rng = np.random.default_rng(13)
+    frame = random_frame(rng, seq=7, timestamp_ns=99)
+    back = decode_frame(encode_frame(frame) + b"trailing bytes are ignored")
+    assert np.array_equal(back.links.array, frame.links.array)
+    assert not back.links.array.flags.writeable
+    for i, name in enumerate(LINKS):
+        pose = frame.links.pose(name)
+        assert np.array_equal(back.links.array[i, :3], pose.translation)
+        assert np.array_equal(back.links.array[i, 3:], pose.rotation.q)
+
+
+def _decode_ends_typed(buf: bytes) -> None:
+    """A buffer decodes to a frame that re-encodes bit-exact, or is refused
+    with a typed error; anything else (IndexError, struct.error) escapes."""
+    from extremctl.errors import ExtremControlError
+
+    try:
+        frame = decode_frame(buf)
+    except (ExtremControlError, ValueError):
+        return
+    out = encode_frame(frame)
+    assert encode_frame(decode_frame(out)) == out
+    assert out[:17] == buf[:17]
+    for i in range(len(LINKS)):
+        start = 17 + 56 * i
+        assert out[start : start + 24] == buf[start : start + 24]  # translations as sent
+        w, x, y, z = frame.links.array[i, 3:].tolist()
+        assert w >= 0.0 and abs(math.sqrt(w * w + x * x + y * y + z * z) - 1.0) <= 1e-12
+
+
+def _hypothesis_settings(hypothesis):
+    return hypothesis.settings(
+        max_examples=300, deadline=None, derandomize=True, database=None
+    )
+
+
+def test_decode_arbitrary_buffers_end_typed():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @_hypothesis_settings(hypothesis)
+    @hypothesis.given(st.binary(min_size=0, max_size=400))
+    def check(buf):
+        _decode_ends_typed(buf)
+
+    check()
+
+
+def test_decode_valid_header_arbitrary_values_end_typed():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    any_float = st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, -0.0, 1e308]),
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    )
+
+    @st.composite
+    def values(draw):
+        # A frame the decoder accepts (finite translations, quaternions off
+        # unit by up to 1.1x the tolerance, either sign), then up to three
+        # of its 42 values replaced by arbitrary floats: NaN, inf, subnormals.
+        out = []
+        for _ in LINKS:
+            out += draw(st.lists(st.floats(-1e3, 1e3, allow_subnormal=True), min_size=3, max_size=3))
+            q = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)))
+            hypothesis.assume(q @ q > 1e-3)
+            scale = 1.0 + draw(st.floats(-1.1e-6, 1.1e-6))
+            out += (q * (scale / np.linalg.norm(q))).tolist()
+        for i in draw(st.lists(st.integers(0, len(out) - 1), max_size=3)):
+            out[i] = draw(any_float)
+        return out
+
+    @_hypothesis_settings(hypothesis)
+    @hypothesis.given(st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1), values())
+    def check(seq, timestamp_ns, values):
+        _decode_ends_typed(struct.pack("<4sBIQ42d", b"XCTL", 1, seq, timestamp_ns, *values))
+
+    check()
