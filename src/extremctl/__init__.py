@@ -7,7 +7,7 @@ harness tying them together.
 """
 
 from .errors import ExtremControlError
-from .se3 import Pose, Rotation, ZeroVector, align_axis, compose, inverse, relative
+from .se3 import Pose, Rotation, ZeroVector, align_axis, relative
 from .mapping import (
     LINKS,
     CalibrationProfile,
@@ -21,7 +21,6 @@ from .mapping import (
     torso_from_headset,
 )
 from .plant import (
-    BadAlpha,
     DecoupledLinear,
     EpisodeRecord,
     GainSchedule,
@@ -32,7 +31,6 @@ from .plant import (
     actuator_torque,
     equivalent_delay,
     frequency_response,
-    lowpass,
     make_sinusoid,
     max_feedforward_ratio,
     plant_from_dict,
@@ -90,7 +88,6 @@ from .pipeline import (
     fit_latency_line,
     latency_budget,
     run_pipeline,
-    sweep_budgets,
 )
 
 __version__ = "0.1.0"

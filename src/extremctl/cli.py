@@ -23,6 +23,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -163,7 +164,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         reference,
         duration=m.get("duration", 10.0, float),
         control_dt=m.get("control-dt", 0.02, float),
-        filter_alpha=m.get("filter-alpha", 1.0, float),
     )
     n = record.n_joints
     with open(args.out, "w", newline="") as f:
@@ -238,25 +238,21 @@ def _cmd_latency(args: argparse.Namespace) -> int:
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     m = _Merged(args)
-    base = {
-        k: v
-        for k, v in m.config.items()
-        if k in PipelineConfig.__dataclass_fields__ and k not in ("seed", "eta")
-    }
-    seed = m.seed()
+    fields = {k: v for k, v in m.config.items() if k in PipelineConfig.__dataclass_fields__}
+    fields["seed"] = m.seed()
     duration = m.get("duration", None, float)
     if duration is not None:
-        base["duration_s"] = duration
-    config = PipelineConfig(seed=seed, **base)
+        fields["duration_s"] = duration
+    config = PipelineConfig.from_dict(fields)
+    eta = m.get("eta", None, float)
+    if eta is not None:
+        config = replace(config, eta=eta)
 
     sweep = m.get("eta-sweep")
     out: dict = {"config": config.to_dict()}
     if sweep is not None:
         etas = _parse_etas(sweep) if isinstance(sweep, str) else [float(e) for e in sweep]
-        budgets = []
-        for eta in etas:
-            run_cfg = PipelineConfig(seed=seed, eta=eta, **base)
-            budgets.append(latency_budget(run_pipeline(run_cfg)))
+        budgets = [latency_budget(run_pipeline(replace(config, eta=e))) for e in etas]
         out["budgets"] = [b.to_dict() for b in budgets]
         if len(budgets) >= 3:
             fit = fit_latency_line(
@@ -264,9 +260,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
             )
             out["fit"] = fit.to_dict()
     else:
-        eta = m.get("eta", None, float)
-        if eta is not None:
-            config = PipelineConfig(seed=seed, eta=eta, **base)
         record = run_pipeline(config)
         out["budget"] = latency_budget(record).to_dict()
         signals_out = m.get("signals-out")
@@ -283,7 +276,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
                 value_header="q_rad",
             )
     fileio.dump_json(args.out, out)
-    _write_meta(args.out, "pipeline", {"seed": seed})
+    _write_meta(args.out, "pipeline", {"seed": config.seed})
     return 0
 
 
@@ -327,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", help="reference: sin:A,omega | const:x | ramp:v")
     p.add_argument("--duration", type=float, help="episode length s")
     p.add_argument("--control-dt", type=float, help="target hold period s")
-    p.add_argument("--filter-alpha", type=float, help="measurement low-pass coefficient")
 
     p = add("delay-curve", "measured vs predicted tracking delay across eta")
     p.add_argument("--etas", help="comma list or start:stop:step")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 import socket
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -326,7 +326,7 @@ class LatencyBudget:
     overall_ms: float  # true human motion -> plant response, measured
     control_confidence: float
     overall_confidence: float
-    theory_control_ms: float  # 2 (1 - eta) / omega_n
+    theory_control_ms: float  # 2 zeta (1 - eta) / omega_n
 
     @property
     def components_sum_ms(self) -> float:
@@ -382,11 +382,6 @@ def latency_budget(record: PipelineRecord, settle_s: float = 2.0) -> LatencyBudg
         overall_confidence=overall.confidence,
         theory_control_ms=float(equivalent_delay(gains)[0]) * 1e3,
     )
-
-
-def sweep_budgets(config: PipelineConfig, etas) -> list[LatencyBudget]:
-    """One pipeline run + budget per feedforward ratio, same seed and motion."""
-    return [latency_budget(run_pipeline(replace(config, eta=float(e)))) for e in etas]
 
 
 @dataclass

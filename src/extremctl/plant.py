@@ -6,11 +6,12 @@ The control law per joint is
 
 with gains derived from a target impedance: kp = M * omega_n^2,
 kd = 2 * zeta * M * omega_n. eta in [0, 1] trades tracking delay against
-overshoot; the closed loop (zeta = 1) behaves like
+overshoot; the closed loop behaves like
 
-    H(s) = (omega_n^2 + 2 eta omega_n s) / (s^2 + 2 omega_n s + omega_n^2)
+    H(s) = (omega_n^2 + 2 zeta eta omega_n s) / (s^2 + 2 zeta omega_n s + omega_n^2)
 
-whose low-frequency group delay is 2 (1 - eta) / omega_n.
+whose low-frequency group delay is 2 zeta (1 - eta) / omega_n. eta = 0 on
+a joint is plain PD there.
 
 Two plants are provided: independent linear joints (q_dd = tau / M) and a
 planar serial chain with full Lagrangian dynamics (configuration-dependent
@@ -25,7 +26,7 @@ dimension, so parallel environments step in lockstep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -39,27 +40,13 @@ class NumericalBlowup(ExtremControlError):
     """Integration produced non-finite state or |qdot| beyond 1e6 rad/s."""
 
 
-class BadAlpha(ExtremControlError):
-    """Low-pass coefficient outside (0, 1]."""
-
-
 class Infeasible(ExtremControlError):
     """No feedforward ratio in [0, 1] satisfies the requested bound."""
 
 
-def lowpass(prev: np.ndarray, sample: np.ndarray, alpha: float) -> np.ndarray:
-    """First-order filter update prev + alpha * (sample - prev).
-
-    alpha = 1 is a passthrough; alpha outside (0, 1] raises BadAlpha.
-    """
-    if not (0.0 < alpha <= 1.0):
-        raise BadAlpha(f"alpha {alpha} outside (0, 1]")
-    return prev + alpha * (np.asarray(sample) - prev)
-
-
 @dataclass(frozen=True, eq=False)
 class GainSchedule:
-    """Per-joint PD gains with a feedforward ratio and its enable mask.
+    """Per-joint PD gains with a feedforward ratio (eta = 0: no feedforward).
 
     kp in N*m/rad, kd in N*m*s/rad. omega_n/zeta record the impedance the
     gains were derived from (needed by the frequency-domain helpers); they
@@ -71,7 +58,6 @@ class GainSchedule:
     eta: np.ndarray
     omega_n: np.ndarray | None = None
     zeta: np.ndarray | None = None
-    feedforward_enabled: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         kp = np.atleast_1d(np.asarray(self.kp, dtype=float))
@@ -90,13 +76,6 @@ class GainSchedule:
                 object.__setattr__(
                     self, name, np.broadcast_to(np.asarray(v, dtype=float), kp.shape).copy()
                 )
-        mask = self.feedforward_enabled
-        mask = (
-            np.ones(kp.shape, dtype=bool)
-            if mask is None
-            else np.broadcast_to(np.asarray(mask, dtype=bool), kp.shape).copy()
-        )
-        object.__setattr__(self, "feedforward_enabled", mask)
 
     @staticmethod
     def from_impedance(
@@ -104,7 +83,6 @@ class GainSchedule:
         omega_n: Union[float, np.ndarray],
         zeta: Union[float, np.ndarray] = 1.0,
         eta: Union[float, np.ndarray] = 0.0,
-        feedforward_enabled: np.ndarray | None = None,
     ) -> "GainSchedule":
         """Gains realizing the target impedance: kp = M w^2, kd = 2 zeta M w."""
         m_eff = np.atleast_1d(np.asarray(m_eff, dtype=float))
@@ -118,30 +96,17 @@ class GainSchedule:
             eta=np.broadcast_to(np.asarray(eta, dtype=float), m_eff.shape),
             omega_n=omega_n,
             zeta=zeta_b,
-            feedforward_enabled=feedforward_enabled,
         )
 
     @property
     def n_joints(self) -> int:
         return self.kp.shape[0]
 
-    def effective_eta(self) -> np.ndarray:
-        return np.where(self.feedforward_enabled, self.eta, 0.0)
-
-    def with_joint(self, j: int, *, kp: float | None = None, kd: float | None = None) -> "GainSchedule":
-        new_kp, new_kd = self.kp.copy(), self.kd.copy()
-        if kp is not None:
-            new_kp[j] = kp
-        if kd is not None:
-            new_kd[j] = kd
-        return replace(self, kp=new_kp, kd=new_kd)
-
     def to_dict(self) -> dict:
         d = {
             "kp_nm_per_rad": self.kp.tolist(),
             "kd_nms_per_rad": self.kd.tolist(),
             "eta": self.eta.tolist(),
-            "feedforward_enabled": self.feedforward_enabled.tolist(),
         }
         if self.omega_n is not None:
             d["omega_n_rad_s"] = self.omega_n.tolist()
@@ -151,15 +116,16 @@ class GainSchedule:
 
     @staticmethod
     def from_dict(d: dict) -> "GainSchedule":
+        eta = np.asarray(d["eta"], dtype=float)
+        if "feedforward_enabled" in d:
+            # older gain files carry a per-joint enable mask: off means eta = 0
+            eta = np.where(np.asarray(d["feedforward_enabled"], dtype=bool), eta, 0.0)
         return GainSchedule(
             kp=np.asarray(d["kp_nm_per_rad"], dtype=float),
             kd=np.asarray(d["kd_nms_per_rad"], dtype=float),
-            eta=np.asarray(d["eta"], dtype=float),
+            eta=eta,
             omega_n=np.asarray(d["omega_n_rad_s"], dtype=float) if "omega_n_rad_s" in d else None,
             zeta=np.asarray(d["zeta"], dtype=float) if "zeta" in d else None,
-            feedforward_enabled=np.asarray(d["feedforward_enabled"], dtype=bool)
-            if "feedforward_enabled" in d
-            else None,
         )
 
 
@@ -170,12 +136,11 @@ class JointState:
     q: np.ndarray
     qdot: np.ndarray
     tau: np.ndarray
-    filtered_q: np.ndarray
 
     @staticmethod
     def at_rest(q0: np.ndarray) -> "JointState":
         q0 = np.asarray(q0, dtype=float)
-        return JointState(q0.copy(), np.zeros_like(q0), np.zeros_like(q0), q0.copy())
+        return JointState(q0.copy(), np.zeros_like(q0), np.zeros_like(q0))
 
 
 @dataclass(frozen=True)
@@ -361,9 +326,9 @@ def _check_dt(dt: float) -> None:
 def actuator_torque(
     state: JointState, q_t: np.ndarray, qdot_t: np.ndarray, gains: GainSchedule
 ) -> np.ndarray:
-    """PD torque with velocity feedforward (masked per joint)."""
+    """PD torque with per-joint velocity feedforward."""
     tau = gains.kp * (q_t - state.q) - gains.kd * state.qdot
-    eta = gains.effective_eta()
+    eta = gains.eta
     if np.any(eta != 0.0):
         tau = tau + eta * gains.kd * qdot_t
     return tau
@@ -375,7 +340,6 @@ def step(
     q_t: np.ndarray,
     qdot_t: np.ndarray,
     gains: GainSchedule,
-    filter_alpha: float = 1.0,
 ) -> JointState:
     """One semi-implicit Euler step at the plant's physics rate.
 
@@ -396,8 +360,7 @@ def step(
         raise NumericalBlowup("non-finite joint state")
     if np.any(np.abs(qdot) > QDOT_BLOWUP):
         raise NumericalBlowup(f"|qdot| exceeded {QDOT_BLOWUP:g} rad/s")
-    filtered = lowpass(state.filtered_q, q, filter_alpha)
-    return JointState(q, qdot, tau, filtered)
+    return JointState(q, qdot, tau)
 
 
 Reference = Callable[[float], Union[np.ndarray, float, tuple]]
@@ -417,10 +380,8 @@ class EpisodeRecord:
     t: np.ndarray
     q_target_held: np.ndarray  # ZOH target the controller saw
     qdot_target_held: np.ndarray
-    q_target_true: np.ndarray  # reference evaluated at every physics step
     q: np.ndarray
     qdot: np.ndarray
-    filtered_q: np.ndarray
     control_dt: float
     physics_dt: float
 
@@ -437,7 +398,6 @@ def run_episode(
     control_dt: float,
     *,
     q0: np.ndarray | None = None,
-    filter_alpha: float = 1.0,
 ) -> EpisodeRecord:
     """Closed-loop episode with zero-order-held targets.
 
@@ -468,7 +428,7 @@ def run_episode(
     state = JointState.at_rest(np.zeros(n) if q0 is None else np.asarray(q0, dtype=float))
     rec = {
         name: np.empty((n_steps, n))
-        for name in ("q_target_held", "qdot_target_held", "q_target_true", "q", "qdot", "filtered_q")
+        for name in ("q_target_held", "qdot_target_held", "q", "qdot")
     }
     t_axis = np.empty(n_steps)
 
@@ -484,15 +444,12 @@ def run_episode(
                 )
             prev_held_q = q_t
             held_q, held_qd = q_t, qd_t
-        true_q, _ = sample(t)
-        state = step(plant, state, held_q, held_qd, gains, filter_alpha)
+        state = step(plant, state, held_q, held_qd, gains)
         t_axis[k] = t + dt
         rec["q_target_held"][k] = held_q
         rec["qdot_target_held"][k] = held_qd
-        rec["q_target_true"][k] = true_q
         rec["q"][k] = state.q
         rec["qdot"][k] = state.qdot
-        rec["filtered_q"][k] = state.filtered_q
 
     return EpisodeRecord(t=t_axis, control_dt=control_dt, physics_dt=dt, **rec)
 
@@ -512,7 +469,7 @@ def frequency_response(gains: GainSchedule, omega: Union[float, np.ndarray]):
     if np.any(omega <= 0):
         raise ValueError("omega must be positive")
     wn = gains.omega_n
-    eta = gains.effective_eta()
+    eta = gains.eta
     num = wn**2 + 1j * 2.0 * eta * wn * omega
     den = wn**2 - omega**2 + 1j * 2.0 * wn * omega
     mag = np.abs(num) / np.abs(den)
@@ -522,10 +479,10 @@ def frequency_response(gains: GainSchedule, omega: Union[float, np.ndarray]):
 
 
 def equivalent_delay(gains: GainSchedule) -> np.ndarray:
-    """Low-frequency tracking delay 2 (1 - eta) / omega_n, seconds."""
-    if gains.omega_n is None:
-        raise ValueError("equivalent_delay needs impedance-derived gains (omega_n)")
-    return 2.0 * (1.0 - gains.effective_eta()) / gains.omega_n
+    """Low-frequency tracking delay 2 zeta (1 - eta) / omega_n, seconds."""
+    if gains.omega_n is None or gains.zeta is None:
+        raise ValueError("equivalent_delay needs impedance-derived gains (omega_n, zeta)")
+    return 2.0 * gains.zeta * (1.0 - gains.eta) / gains.omega_n
 
 
 def max_feedforward_ratio(omega_n: float, control_dt: float) -> float:
@@ -600,12 +557,14 @@ def simulate_delay_curve(
     settle_s: float = 2.0,
     physics_dt: float = 1e-3,
 ) -> list[DelayPoint]:
-    """Measured tracking delay vs the 2 (1 - eta) / omega_n prediction.
+    """Measured tracking delay vs the 2 zeta (1 - eta) / omega_n prediction.
 
-    Drives one linear joint per eta with a shared sinusoid reference held
-    at the control rate, then estimates the lag between the held target
-    and the measured position by normalized cross-correlation (settling
-    transient trimmed). All etas run as one batched decoupled plant.
+    Drives one critically damped linear joint per eta with a shared
+    sinusoid reference held at the control rate, then estimates the lag
+    between the held target and the measured position by normalized
+    cross-correlation (settling transient trimmed). All etas run as one
+    batched decoupled plant. With zeta = 1 the prediction is
+    2 (1 - eta) / omega_n.
 
     The semi-implicit Euler step biases the measurement low: at the
     default physics_dt = 1e-3 it reads about 1.2 ms under the continuous

@@ -4,7 +4,8 @@ Conventions:
     * quaternions are scalar-first (w, x, y, z), unit norm, and canonicalized
       to w >= 0 so each rotation has a single representation (double cover);
     * translations are meters, rotations are right-handed;
-    * ``compose(a, b)`` applies ``b`` first, then ``a`` (matrix convention).
+    * ``a.compose(b)`` (also ``a * b``) applies ``b`` first, then ``a``
+      (matrix convention).
 
 All types are immutable; every operation returns a new value.
 
@@ -179,10 +180,6 @@ class Pose:
     def identity() -> "Pose":
         return Pose(Rotation.identity(), np.zeros(3))
 
-    @staticmethod
-    def from_parts(q: np.ndarray, p: np.ndarray) -> "Pose":
-        return Pose(Rotation(np.asarray(q)), np.asarray(p))
-
     def compose(self, other: "Pose") -> "Pose":
         return Pose(
             self.rotation.compose(other.rotation),
@@ -211,17 +208,8 @@ class Pose:
         return f"Pose(q={self.rotation.to_list()}, p=[{p[0]:.6g}, {p[1]:.6g}, {p[2]:.6g}])"
 
 
-def compose(a: Pose, b: Pose) -> Pose:
-    """a * b: apply b, then a."""
-    return a.compose(b)
-
-
-def inverse(a: Pose) -> Pose:
-    return a.inverse()
-
-
 def relative(base: Pose, target: Pose) -> Pose:
-    """Target expressed in the base frame: inverse(base) * target."""
+    """Target expressed in the base frame: base.inverse() * target."""
     return base.inverse().compose(target)
 
 

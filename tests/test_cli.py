@@ -72,6 +72,7 @@ def test_usage_errors_exit_two(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
     assert main(["delay-curve"]) == 2  # --out is required
+    assert main(["simulate", "--filter-alpha", "0.3", "--out", "x.csv"]) == 2  # no such flag
     capsys.readouterr()
 
 
@@ -199,13 +200,31 @@ def test_simulate_csv_is_byte_stable_and_exact(tmp_path):
     table = np.loadtxt(str(out), delimiter=",", skiprows=1)
     record = run_episode(
         plant_from_dict(plant_dict), gains, make_sinusoid(0.3, 3.14),
-        duration=1.0, control_dt=0.02, filter_alpha=1.0,
+        duration=1.0, control_dt=0.02,
     )
     assert table.shape == (1000, 5)
     assert np.array_equal(table[:, 0], record.t)
     for j in range(2):
         assert np.array_equal(table[:, 1 + 2 * j], record.q_target_held[:, j])
         assert np.array_equal(table[:, 2 + 2 * j], record.q[:, j])
+
+
+def test_simulate_reads_feedforward_mask_of_older_gain_files(tmp_path):
+    """A gain file with a per-joint feedforward_enabled mask simulates as
+    the same file with eta = 0 on the masked joint."""
+    write_plant_inputs(tmp_path)
+    base = {"kp_nm_per_rad": [100.0, 200.0], "kd_nms_per_rad": [20.0, 40.0]}
+    fileio.dump_json(str(tmp_path / "masked.json"),
+                     dict(base, eta=[0.9, 0.9], feedforward_enabled=[True, False]))
+    fileio.dump_json(str(tmp_path / "per_joint.json"), dict(base, eta=[0.9, 0.0]))
+    outs = []
+    for name in ("masked", "per_joint"):
+        out = tmp_path / f"{name}.csv"
+        assert main(["simulate", "--plant", str(tmp_path / "plant.json"),
+                     "--gains", str(tmp_path / f"{name}.json"),
+                     "--duration", "1.0", "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_simulate_const_reference_settles(tmp_path):
@@ -319,6 +338,27 @@ def test_pipeline_eta_sweep_fits_line(tmp_path):
     assert control[0] > control[1] > control[2]
     assert report["fit"]["r_squared"] > 0.999
     assert 0.5 < report["fit"]["slope"] < 1.5
+
+
+def test_pipeline_records_eta_and_motion_and_replays_own_config(tmp_path):
+    """A motion object in --config runs and is recorded, --eta is recorded
+    as given, and the recorded config fed back as --config reproduces the
+    whole output byte for byte."""
+    motion = {"amplitude_m": 0.1, "frequency_hz": 0.7, "link": "left_hand", "axis": 1}
+    cfg = tmp_path / "cfg.json"
+    fileio.dump_json(str(cfg), {"motion": motion, "duration_s": 5.0})
+    first = tmp_path / "first.json"
+    assert main(["pipeline", "--config", str(cfg), "--seed", "3", "--eta", "0.5",
+                 "--out", str(first)]) == 0
+    report = fileio.load_json(str(first))
+    assert report["config"]["motion"] == motion
+    assert report["config"]["eta"] == 0.5
+    assert report["budget"]["eta"] == 0.5
+    fileio.dump_json(str(tmp_path / "replay_cfg.json"), report["config"])
+    replay = tmp_path / "replay.json"
+    assert main(["pipeline", "--config", str(tmp_path / "replay_cfg.json"),
+                 "--out", str(replay)]) == 0
+    assert replay.read_bytes() == first.read_bytes()
 
 
 # ------------------------------------------------------------ config file

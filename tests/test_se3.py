@@ -8,8 +8,6 @@ from extremctl.se3 import (
     Rotation,
     ZeroVector,
     align_axis,
-    compose,
-    inverse,
     relative,
 )
 
@@ -34,31 +32,31 @@ def test_identity_compose():
     rng = np.random.default_rng(11)
     for _ in range(20):
         p = random_pose(rng)
-        assert pose_close(compose(Pose.identity(), p), p)
-        assert pose_close(compose(p, Pose.identity()), p)
+        assert pose_close(Pose.identity().compose(p), p)
+        assert pose_close(p.compose(Pose.identity()), p)
 
 
 def test_compose_inverse_is_identity():
     rng = np.random.default_rng(12)
     for _ in range(50):
         p = random_pose(rng)
-        r = compose(p, inverse(p))
+        r = p.compose(p.inverse())
         assert np.abs(r.translation).max() < 1e-12
         assert r.rotation.angle() < 1e-9
 
 
 def test_pure_translations_commute():
-    r = compose(translate(1, 0, 0), translate(0, 2, 0))
+    r = translate(1, 0, 0).compose(translate(0, 2, 0))
     assert pose_close(r, translate(1, 2, 0))
 
 
 def test_inverse_examples():
-    assert pose_close(inverse(Pose.identity()), Pose.identity())
-    assert pose_close(inverse(translate(1, 2, 3)), translate(-1, -2, -3))
+    assert pose_close(Pose.identity().inverse(), Pose.identity())
+    assert pose_close(translate(1, 2, 3).inverse(), translate(-1, -2, -3))
     rng = np.random.default_rng(13)
     for _ in range(20):
         p = random_pose(rng)
-        assert pose_close(inverse(inverse(p)), p, tol=1e-12)
+        assert pose_close(p.inverse().inverse(), p, tol=1e-12)
 
 
 def test_relative():
@@ -67,7 +65,7 @@ def test_relative():
         base = random_pose(rng)
         target = random_pose(rng)
         rel = relative(base, target)
-        assert pose_close(compose(base, rel), target, tol=1e-12)
+        assert pose_close(base.compose(rel), target, tol=1e-12)
     p = random_pose(rng)
     assert pose_close(relative(p, p), Pose.identity(), tol=1e-12)
     assert pose_close(relative(Pose.identity(), p), p)
@@ -77,8 +75,8 @@ def test_associativity():
     rng = np.random.default_rng(15)
     for _ in range(50):
         a, b, c = (random_pose(rng) for _ in range(3))
-        left = compose(compose(a, b), c)
-        right = compose(a, compose(b, c))
+        left = a.compose(b).compose(c)
+        right = a.compose(b.compose(c))
         assert pose_close(left, right, tol=1e-9)
 
 
