@@ -114,22 +114,31 @@ def write_signal_csv(path, signal: MotionSignal, value_header: str = "value") ->
 
 
 def read_signal_csv(path) -> MotionSignal:
-    """CSV with a header row and columns (time seconds, value), any names."""
+    """CSV with a header row and columns (time seconds, value), any names.
+
+    A malformed row raises ValueError naming the file and line."""
     rows = []
     with open(path, "r", newline="") as f:
         header = f.readline()
         if not header:
             raise ValueError(f"{path}: empty file")
-        for line in f:
+        for lineno, line in enumerate(f, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
-            rows.append((float(parts[0]), float(parts[1])))
+            if len(parts) < 2:
+                raise ValueError(f"{path} line {lineno}: one column, need two")
+            try:
+                rows.append((float(parts[0]), float(parts[1])))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}: {exc}") from None
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least 2 samples")
     t = np.asarray([r[0] for r in rows])
     v = np.asarray([r[1] for r in rows])
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"{path}: time column has non-finite values")
     dt = np.diff(t)
     dt_med = float(np.median(dt))
     if dt_med <= 0 or np.any(np.abs(dt - dt_med) > 1e-6 * max(dt_med, 1.0) + 1e-9):
@@ -146,14 +155,25 @@ def write_linkset_jsonl(path, frames) -> None:
 
 
 def read_linkset_jsonl(path) -> list[tuple[int, LinkSet]]:
+    """One {"timestamp_ns", "links"} object per line; a malformed row raises
+    ValueError naming the file and line (invalid poses stay typed errors)."""
     out = []
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
-            out.append((int(row["timestamp_ns"]), LinkSet.from_dict(row["links"])))
+            where = f"{path} line {lineno}"
+            try:
+                row = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if not isinstance(row, dict):
+                raise ValueError(f"{where}: a JSON {type(row).__name__}, not an object")
+            try:
+                out.append((int(row["timestamp_ns"]), LinkSet.from_dict(row["links"])))
+            except (ValueError, TypeError, KeyError, OverflowError) as exc:
+                raise ValueError(f"{where}: {type(exc).__name__}: {exc}") from None
     return out
 
 

@@ -159,9 +159,9 @@ class PipelineConfig:
     @staticmethod
     def from_dict(d: dict) -> "PipelineConfig":
         kwargs = {k: d[k] for k in d if k not in ("motion", "profile")}
-        if "motion" in d:
+        if d.get("motion") is not None:
             kwargs["motion"] = MotionSpec.from_dict(d["motion"])
-        if "profile" in d and d["profile"] is not None:
+        if d.get("profile") is not None:
             kwargs["profile"] = CalibrationProfile.from_dict(d["profile"])
         return PipelineConfig(**kwargs)
 

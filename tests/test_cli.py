@@ -15,7 +15,9 @@ import pytest
 import extremctl
 from extremctl import fileio
 from extremctl.cli import _parse_etas, _parse_reference, main
+from extremctl.latency import MotionSignal
 from extremctl.mapping import CalibrationProfile, LinkSet, RobotModel, calibrate, map_frame
+from extremctl.pipeline import MotionSpec
 from extremctl.plant import GainSchedule, make_sinusoid, plant_from_dict, run_episode
 from extremctl.se3 import Pose, Rotation
 
@@ -359,6 +361,39 @@ def test_pipeline_records_eta_and_motion_and_replays_own_config(tmp_path):
     assert main(["pipeline", "--config", str(tmp_path / "replay_cfg.json"),
                  "--out", str(replay)]) == 0
     assert replay.read_bytes() == first.read_bytes()
+
+
+def test_pipeline_config_null_motion_runs_default_motion(tmp_path):
+    """"motion": null reads like an absent key, as "profile": null does."""
+    cfg = tmp_path / "cfg.json"
+    fileio.dump_json(str(cfg), {"motion": None, "duration_s": 5})
+    out = tmp_path / "null_motion.json"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    assert fileio.load_json(str(out))["config"]["motion"] == MotionSpec().to_dict()
+
+
+def test_malformed_signal_and_stream_rows_exit_one_naming_line(tmp_path, capsys):
+    good = tmp_path / "good.csv"
+    fileio.write_signal_csv(str(good), MotionSignal(np.sin(np.arange(300) / 10.0), 100.0))
+    bad = tmp_path / "bad.csv"
+    bad.write_text("t_s,value\n0.0,1.0\n0.01\n")
+    rc = main(["latency", "--signal-a", str(good), "--signal-b", str(bad),
+               "--out", str(tmp_path / "lag.json")])
+    assert rc == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ValueError" and "bad.csv line 3" in diag["message"]
+
+    write_mapping_inputs(tmp_path)
+    profile = tmp_path / "profile.json"
+    main(["calibrate-map", "--neutral", str(tmp_path / "neutral.json"),
+          "--robot", str(tmp_path / "robot.json"), "--out", str(profile)])
+    frames = tmp_path / "frames.jsonl"
+    frames.write_text(frames.read_text() + "[1, 2]\n")
+    rc = main(["map", "--profile", str(profile), "--frames", str(frames),
+               "--out", str(tmp_path / "mapped.jsonl")])
+    assert rc == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ValueError" and "frames.jsonl line 4" in diag["message"]
 
 
 # ------------------------------------------------------------ config file

@@ -1,8 +1,12 @@
 """Container formats round-trip exactly and refuse malformed input."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from extremctl.errors import ExtremControlError
 from extremctl.fileio import (
     dump_json,
     load_json,
@@ -142,3 +146,139 @@ def test_json_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_text().endswith("\n")
     assert load_json(p1) == obj
+
+
+# ------------------------------------------------------ malformed input
+
+
+def _decodes_or_refuses_typed(read, path) -> None:
+    """A decoder either returns or raises ExtremControlError / ValueError;
+    anything else (IndexError, TypeError, KeyError, ...) fails the test."""
+    try:
+        read(path)
+    except (ExtremControlError, ValueError):
+        pass
+
+
+def test_signal_csv_malformed_rows_name_file_and_line(tmp_path):
+    path = tmp_path / "one_column.csv"
+    path.write_text("t_s,value\n0.0,1.0\n0.1\n")
+    with pytest.raises(ValueError, match=r"one_column\.csv line 3"):
+        read_signal_csv(path)
+    path.write_text("t_s,value\n0.0,1.0\n0.1,x\n")
+    with pytest.raises(ValueError, match=r"line 3"):
+        read_signal_csv(path)
+    path.write_text("t_s,value\nnan,1.0\nnan,2.0\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        read_signal_csv(path)
+
+
+def test_linkset_jsonl_malformed_rows_name_file_and_line(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    for row in ("[1, 2]", "3", '{"links": {}}', '{"timestamp_ns": 1}',
+                '{"timestamp_ns": 1, "links": []}', '{"timestamp_ns": 1e999, "links": {}}',
+                '{"timestamp_ns": 1, "links": {"pelvis": 5}}', "{not json"):
+        path.write_text("\n" + row + "\n")
+        with pytest.raises(ValueError, match=r"rows\.jsonl line 2"):
+            read_linkset_jsonl(path)
+
+
+def test_signal_csv_fuzz_ends_typed(tmp_path, hypothesis_settings):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    cell = st.one_of(
+        st.sampled_from(["", "nan", "inf", "-inf", "1e999", "1_0", " 2 ", "0x1"]),
+        st.floats().map(repr),
+        st.text(alphabet="0123456789.-+eE ", max_size=6),
+    )
+    row = st.lists(cell, max_size=3).map(",".join)
+    text = st.tuples(st.lists(row, max_size=8), st.sampled_from(["\n", "\r\n", "\r"])).map(
+        lambda rows_nl: ("t_s,value" + rows_nl[1] + rows_nl[1].join(rows_nl[0])).encode()
+    )
+    path = tmp_path / "fuzz.csv"
+
+    @hypothesis_settings(300)
+    @hypothesis.given(st.one_of(text, st.binary(max_size=120)))
+    def check(data):
+        path.write_bytes(data)
+        _decodes_or_refuses_typed(read_signal_csv, path)
+
+    check()
+
+
+def test_linkset_jsonl_fuzz_ends_typed(tmp_path, hypothesis_settings):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    names = ("pelvis", "torso", "left_hand", "right_hand", "left_foot", "right_foot")
+    good = {"timestamp_ns": 5, "links": {n: {"p": [0.0, 0.0, 1.0], "q": [1.0, 0.0, 0.0, 0.0]}
+                                         for n in names}}
+    scalar = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4))
+    value = st.recursive(
+        scalar,
+        lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                st.dictionaries(st.sampled_from(["p", "q", "x"]), inner, max_size=3)),
+        max_leaves=8,
+    )
+    paths = [("timestamp_ns",), ("links",)] + [("links", n) for n in names] + [
+        ("links", n, k) for n in names for k in ("p", "q")]
+
+    @st.composite
+    def mutated_row(draw):
+        row = json.loads(json.dumps(good))
+        where = draw(st.sampled_from(paths))
+        parent = row
+        for key in where[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            parent[where[-1]] = draw(value)
+        else:
+            del parent[where[-1]]
+        return json.dumps(row)
+
+    line = st.one_of(mutated_row(), value.map(json.dumps), st.text(max_size=20))
+    path = tmp_path / "fuzz.jsonl"
+
+    @hypothesis_settings(300)
+    @hypothesis.given(st.lists(line, min_size=1, max_size=3))
+    def check(lines):
+        path.write_text(json.dumps(good) + "\n" + "\n".join(lines) + "\n")
+        _decodes_or_refuses_typed(read_linkset_jsonl, path)
+
+    check()
+
+
+def test_pgm_fuzz_ends_typed(tmp_path, hypothesis_settings):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    token = st.one_of(st.integers(-3, 70000).map(str), st.text(alphabet="0123456789-+x#", max_size=4))
+    sep = st.sampled_from([b" ", b"\n", b"\t", b"  ", b"# c\n", b"#"])
+    header = st.lists(st.tuples(sep, token), max_size=4).map(
+        lambda parts: b"".join(s + t.encode() for s, t in parts))
+    pgm = st.tuples(header, sep, st.binary(max_size=64)).map(lambda p: b"P5" + p[0] + p[1] + p[2])
+    path = tmp_path / "fuzz.pgm"
+
+    @hypothesis_settings(300)
+    @hypothesis.given(st.one_of(pgm, st.binary(max_size=64)))
+    def check(data):
+        path.write_bytes(data)
+        _decodes_or_refuses_typed(read_pgm, path)
+
+    check()
+
+
+def test_flow_fuzz_ends_typed(tmp_path, hypothesis_settings):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    dim = st.one_of(st.integers(0, 6), st.integers(0, 2**32 - 1))
+    header = st.tuples(st.sampled_from([b"XFLW", b"XFLX"]), dim, dim, dim).map(
+        lambda h: struct.pack("<4sIII", *h))
+    flow = st.tuples(header, st.binary(max_size=400)).map(lambda p: p[0] + p[1])
+    path = tmp_path / "fuzz.xflw"
+
+    @hypothesis_settings(300)
+    @hypothesis.given(st.one_of(flow, st.binary(max_size=40)))
+    def check(data):
+        path.write_bytes(data)
+        _decodes_or_refuses_typed(read_flow, path)
+
+    check()

@@ -7,11 +7,13 @@ import math
 import numpy as np
 import pytest
 
+from extremctl.errors import ExtremControlError
 from extremctl.latency import (
     ConstantSignal,
     DimensionMismatch,
     FlowField,
     InsufficientOverlap,
+    LagEstimate,
     MotionSignal,
     OutOfBounds,
     RegionSpec,
@@ -254,6 +256,117 @@ def test_unrelated_noise_is_flagged_not_fatal():
     est = estimate_lag(a, b)
     assert est.low_confidence
     assert est.confidence < 0.6
+
+
+def _reference_lag(a, b, max_lag_s, min_overlap_s):
+    """The per-lag definition estimate_lag must reproduce bit for bit: a
+    fresh Pearson correlation over the overlap at every candidate lag, the
+    first maximum, then the parabolic refinement."""
+    if abs(a.rate_hz - b.rate_hz) > 1e-9 * max(a.rate_hz, b.rate_hz):
+        raise ValueError("sample rates differ")
+    rate = a.rate_hz
+    sa, sb = a.samples, b.samples
+    if float(np.std(sa)) <= 1e-12 or float(np.std(sb)) <= 1e-12:
+        raise ConstantSignal("constant")
+    max_shift = int(round(max_lag_s * rate))
+    min_overlap = max(2, int(round(min_overlap_s * rate)))
+    na, nb = sa.size, sb.size
+    shifts = np.arange(-max_shift, max_shift + 1)
+    corr = np.full(shifts.size, -np.inf)
+    counts = np.zeros(shifts.size, dtype=int)
+    for idx, s in enumerate(shifts):
+        i0 = max(0, -s)
+        i1 = min(na, nb - s)
+        m = i1 - i0
+        counts[idx] = m
+        if m < min_overlap:
+            continue
+        x = sa[i0:i1]
+        y = sb[i0 + s : i1 + s]
+        x = x - x.mean()
+        y = y - y.mean()
+        den = np.sqrt((x @ x) * (y @ y))
+        if den <= 1e-30:
+            continue
+        corr[idx] = (x @ y) / den
+    if not np.any(np.isfinite(corr)):
+        raise InsufficientOverlap("no overlap")
+    peak = int(np.argmax(corr))
+    refined = float(shifts[peak])
+    if 0 < peak < shifts.size - 1 and np.isfinite(corr[peak - 1]) and np.isfinite(corr[peak + 1]):
+        c0, c1, c2 = corr[peak - 1], corr[peak], corr[peak + 1]
+        denom = c0 - 2.0 * c1 + c2
+        if abs(denom) > 1e-15:
+            refined += float(np.clip(0.5 * (c0 - c2) / denom, -0.5, 0.5))
+    confidence = float(np.clip(corr[peak], -1.0, 1.0))
+    return LagEstimate(
+        lag_s=refined / rate + (b.t0 - a.t0),
+        confidence=confidence,
+        low_confidence=confidence < 0.6,
+        n_overlap=int(counts[peak]),
+    )
+
+
+def test_screened_search_equals_per_lag_definition(hypothesis_settings):
+    """estimate_lag's FFT screen plus exact confirm returns the same
+    LagEstimate (==, every field) or the same error type as the per-lag
+    loop, over lengths, rates, start times and search settings, on signals
+    built to stress the screen: square waves whose lags tie exactly,
+    constant stretches, rounded and quantized samples, offsets and scales."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def wave(kind, n, rate, delay, freq, period, rng):
+        k = np.arange(n)
+        t = k / rate - delay
+        if kind == "tones":
+            return np.sin(2 * np.pi * freq * t) + 0.5 * np.sin(2 * np.pi * 2.7 * freq * t)
+        if kind == "square":  # period a whole number of samples: lags a period apart tie
+            return np.where((k - round(delay * rate)) % period < period // 2, 1.0, -1.0)
+        if kind == "periodic":  # a random pattern repeated: ties as for the square wave
+            pattern = np.random.default_rng(period).uniform(-1.0, 1.0, period)
+            return pattern[(k - round(delay * rate)) % period]
+        if kind == "stretches":
+            return np.where(np.sin(2 * np.pi * freq * t / 3.0) > 0.0, np.sin(2 * np.pi * freq * t), 0.0)
+        if kind == "rounded":
+            return np.round(3.0 * np.sin(2 * np.pi * freq * t) + 0.3 * rng.normal(size=n))
+        if kind == "levels":
+            return rng.integers(0, 3, n).astype(float)
+        return rng.normal(size=n)
+
+    @st.composite
+    def cases(draw):
+        rate = draw(st.sampled_from([60.0, 100.0, 1000.0]))
+        kinds = ["tones", "square", "periodic", "stretches", "rounded", "levels", "noise"]
+        kind = draw(st.sampled_from(kinds))
+        na = draw(st.integers(2, 3000))
+        nb = na if draw(st.booleans()) else draw(st.integers(2, 3000))
+        delay = draw(st.floats(-0.5, 0.5))
+        freq = draw(st.floats(0.2, 5.0))
+        period = draw(st.integers(2, 200))
+        seed = draw(st.integers(0, 2**32 - 1))
+        scale = 10.0 ** draw(st.integers(-6, 6))
+        offset = draw(st.sampled_from([0.0, -3.5, 1e6]))
+        rng = np.random.default_rng(seed)
+        xa = offset + scale * wave(kind, na, rate, 0.0, freq, period, rng)
+        xb = offset + scale * wave(kind, nb, rate, delay, freq, period, rng)
+        t0a, t0b = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+        max_lag_s = draw(st.floats(-0.1, 3.0))
+        min_overlap_s = draw(st.floats(0.0, 3.0))
+        return MotionSignal(xa, rate, t0a), MotionSignal(xb, rate, t0b), max_lag_s, min_overlap_s
+
+    def outcome(f, *args):
+        try:
+            return f(*args)
+        except (ExtremControlError, ValueError) as exc:
+            return type(exc)
+
+    @hypothesis_settings(200)
+    @hypothesis.given(cases())
+    def check(case):
+        assert outcome(estimate_lag, *case) == outcome(_reference_lag, *case)
+
+    check()
 
 
 # ------------------------------------------------------------- end to end

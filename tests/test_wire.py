@@ -207,17 +207,11 @@ def _decode_ends_typed(buf: bytes) -> None:
         assert w >= 0.0 and abs(math.sqrt(w * w + x * x + y * y + z * z) - 1.0) <= 1e-12
 
 
-def _hypothesis_settings(hypothesis):
-    return hypothesis.settings(
-        max_examples=300, deadline=None, derandomize=True, database=None
-    )
-
-
-def test_decode_arbitrary_buffers_end_typed():
+def test_decode_arbitrary_buffers_end_typed(hypothesis_settings):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    @_hypothesis_settings(hypothesis)
+    @hypothesis_settings(300)
     @hypothesis.given(st.binary(min_size=0, max_size=400))
     def check(buf):
         _decode_ends_typed(buf)
@@ -225,7 +219,7 @@ def test_decode_arbitrary_buffers_end_typed():
     check()
 
 
-def test_decode_valid_header_arbitrary_values_end_typed():
+def test_decode_valid_header_arbitrary_values_end_typed(hypothesis_settings):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     any_float = st.one_of(
@@ -249,7 +243,7 @@ def test_decode_valid_header_arbitrary_values_end_typed():
             out[i] = draw(any_float)
         return out
 
-    @_hypothesis_settings(hypothesis)
+    @hypothesis_settings(300)
     @hypothesis.given(st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1), values())
     def check(seq, timestamp_ns, values):
         _decode_ends_typed(struct.pack("<4sBIQ42d", b"XCTL", 1, seq, timestamp_ns, *values))
