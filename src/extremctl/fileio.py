@@ -171,7 +171,10 @@ def read_linkset_jsonl(path) -> list[tuple[int, LinkSet]]:
             if not isinstance(row, dict):
                 raise ValueError(f"{where}: a JSON {type(row).__name__}, not an object")
             try:
-                out.append((int(row["timestamp_ns"]), LinkSet.from_dict(row["links"])))
+                stamp = row["timestamp_ns"]
+                if type(stamp) is not int:  # bool is an int subclass; 1.9 must not truncate
+                    raise ValueError(f"timestamp_ns {stamp!r} is not a JSON integer")
+                out.append((stamp, LinkSet.from_dict(row["links"])))
             except (ValueError, TypeError, KeyError, OverflowError) as exc:
                 raise ValueError(f"{where}: {type(exc).__name__}: {exc}") from None
     return out

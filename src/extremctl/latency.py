@@ -52,8 +52,10 @@ class MotionSignal:
             raise ValueError("signal needs at least 2 samples in one dimension")
         if not np.all(np.isfinite(samples)):
             raise ValueError("signal contains non-finite samples")
-        if self.rate_hz <= 0:
-            raise ValueError(f"rate {self.rate_hz} Hz must be positive")
+        if not (math.isfinite(self.rate_hz) and self.rate_hz > 0):
+            raise ValueError(f"rate {self.rate_hz} Hz must be finite and positive")
+        if not math.isfinite(self.t0):
+            raise ValueError(f"start time {self.t0} s must be finite")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
 
@@ -139,10 +141,32 @@ def block_match_flow(
     Ties prefer the smallest displacement (then smallest du, dv); tiles
     whose mean absolute deviation falls at or below texture_threshold are
     reported as zero flow. The winning displacement is painted across the
-    tile; border pixels not covered by a full tile stay zero.
+    tile; border pixels not covered by a full tile stay zero. A
+    displacement is only tried where the displaced tile lies inside the
+    frame.
+
+    Kernel: with bb = block**2, the cost of displacement d = (dv, du) is
+    bb**2 times the mean absolute difference of the mean-removed tiles,
+    summed as |(bb*a[p] - sum_a) - bb*b[p + d] + sum_b| over the tile
+    pixels p (sum_a, sum_b: the tile sums).
+    One pass per pixel offset (block**2 passes) updates the costs of every
+    displacement and tile at once, reading a polyphase copy of frame b
+    (one plane per pixel offset, tiles on the last two axes). The frame-b
+    tile sums of every displacement come from one summed-area table
+    (Crow, 1984).
+
+    Exactness and dtype: frames of integer dtype (what read_pgm returns)
+    are matched in exact integer arithmetic, in int32 when the worst tile
+    cost 2*bb*(bb - 1)*(max - min pixel) fits and int64 otherwise. Every
+    cost is then exact, and for power-of-two blocks it equals bb**2 times
+    the float64 per-displacement mean-removed SAD, so the same displacement
+    wins. Float frames, uint64 frames and integer frames whose worst cost
+    overflows int64 are matched in float64, where near-equal costs may
+    round either way. The texture test always runs on float64 tiles.
+    Frames holding NaN or inf raise ValueError.
     """
-    a = np.asarray(frame_a, dtype=float)
-    b = np.asarray(frame_b, dtype=float)
+    a = np.asarray(frame_a)
+    b = np.asarray(frame_b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"frame shapes {a.shape} vs {b.shape}")
     if a.ndim != 2:
@@ -157,46 +181,97 @@ def block_match_flow(
     if nby == 0 or nbx == 0:
         raise ValueError(f"frames {a.shape} smaller than one {block}px block")
     h2, w2 = nby * block, nbx * block
+    bb = block * block
 
-    def tiles(img_region: np.ndarray, rows: int, cols: int) -> np.ndarray:
-        t = img_region.reshape(rows, block, cols, block).swapaxes(1, 2)
-        return t - t.mean(axis=(2, 3), keepdims=True)
+    work, lo = np.float64, 0
+    if np.can_cast(a.dtype, np.int64) and np.can_cast(b.dtype, np.int64):
+        # Shifting by the smallest pixel leaves every mean-removed cost as
+        # it is and bounds every work value by the worst tile cost; the
+        # strict bound keeps the out-of-frame sentinel above every cost.
+        lo = min(int(a.min()), int(b.min()))
+        worst = 2 * bb * (bb - 1) * (max(int(a.max()), int(b.max())) - lo)
+        if worst < np.iinfo(np.int64).max:
+            work = np.int32 if worst < np.iinfo(np.int32).max else np.int64
+    if work is np.float64:
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("frames contain non-finite pixels")
+    sum_dtype = np.float64 if work is np.float64 else np.int64
 
-    a_tiles = tiles(a[:h2, :w2], nby, nbx)
-    texture = np.abs(a_tiles).mean(axis=(2, 3))
+    # Displacements beyond the frame have no valid tile: clamp each axis.
+    rv, ru = min(radius, h - block), min(radius, w - block)
+    nv, nu = 2 * rv + 1, 2 * ru + 1
 
-    # Displacements sorted so np.argmin's first-wins rule breaks SAD ties
+    # sa[py, px, ty, tx] = bb * a[ty*block + py, tx*block + px] - (tile sum of a)
+    a4 = a[:h2, :w2].astype(sum_dtype).reshape(nby, block, nbx, block).transpose(1, 3, 0, 2)
+    sa = (bb * a4 - a4.sum(axis=(0, 1))).astype(work, order="C")
+
+    # Frame b minus lo, zero-padded by the radius, so that padded row i is
+    # frame row i - rv; the pad only feeds displacements masked below.
+    pad = np.zeros((h2 + 2 * rv, w2 + 2 * ru), dtype=sum_dtype)
+    rows, cols = min(h, h2 + rv), min(w, w2 + ru)
+    pad[rv : rv + rows, ru : ru + cols] = b[:rows, :cols]
+    pad[rv : rv + rows, ru : ru + cols] -= lo
+
+    def polyphase(img, planes_y, planes_x):
+        # view[qy, qx, ty, tx] = img[ty*block + qy, tx*block + qx]
+        return np.lib.stride_tricks.as_strided(
+            img,
+            shape=(planes_y, planes_x, nby, nbx),
+            strides=(img.strides[0], img.strides[1], block * img.strides[0], block * img.strides[1]),
+            writeable=False,
+        )
+
+    pb = np.empty((block + 2 * rv, block + 2 * ru, nby, nbx), dtype=work)
+    np.multiply(polyphase(pad, *pb.shape[:2]), bb, out=pb, casting="unsafe")
+    # Tile sums of frame b at every displacement from a summed-area table.
+    sat = np.zeros((pad.shape[0] + 1, pad.shape[1] + 1), dtype=pad.dtype)
+    np.cumsum(np.cumsum(pad, axis=0, dtype=sat.dtype), axis=1, out=sat[1:, 1:])
+    box = sat[block:, block:] - sat[:-block, block:] - sat[block:, :-block] + sat[:-block, :-block]
+    sb = polyphase(box, nv, nu).astype(work, order="C")
+    del a4, pad, sat, box  # only the four work arrays below stay alive in the loop
+
+    cost = np.zeros((nv, nu, nby, nbx), dtype=work)
+    tmp = np.empty_like(cost)
+    for py in range(block):
+        for px in range(block):
+            np.subtract(sa[py, px], pb[py : py + nv, px : px + nu], out=tmp)
+            tmp += sb
+            np.abs(tmp, out=tmp)
+            cost += tmp
+
+    # A displacement counts for a tile only if the displaced tile lies
+    # inside the frame.
+    tile_y = np.arange(nby) * block + np.arange(-rv, rv + 1)[:, None]
+    tile_x = np.arange(nbx) * block + np.arange(-ru, ru + 1)[:, None]
+    row_ok = (tile_y >= 0) & (tile_y + block <= h)
+    col_ok = (tile_x >= 0) & (tile_x + block <= w)
+    valid = row_ok[:, None, :, None] & col_ok[None, :, None, :]
+    cost[~valid] = np.inf if work is np.float64 else np.iinfo(work).max
+
+    # Displacements sorted so np.argmin's first-wins rule breaks ties
     # toward the smallest motion.
     disps = sorted(
-        ((dv, du) for dv in range(-radius, radius + 1) for du in range(-radius, radius + 1)),
+        ((dv, du) for dv in range(-rv, rv + 1) for du in range(-ru, ru + 1)),
         key=lambda d: (d[0] ** 2 + d[1] ** 2, d[1], d[0]),
     )
-    cost = np.full((nby, nbx, len(disps)), np.inf)
-    for i, (dv, du) in enumerate(disps):
-        by0 = (-dv + block - 1) // block if dv < 0 else 0
-        bx0 = (-du + block - 1) // block if du < 0 else 0
-        by1 = min(nby, (h - dv) // block)
-        bx1 = min(nbx, (w - du) // block)
-        if by0 >= by1 or bx0 >= bx1:
-            continue
-        ys, xs = by0 * block, bx0 * block
-        ye, xe = by1 * block, bx1 * block
-        b_sub = tiles(b[ys + dv : ye + dv, xs + du : xe + du], by1 - by0, bx1 - bx0)
-        sad = np.abs(a_tiles[by0:by1, bx0:bx1] - b_sub).mean(axis=(2, 3))
-        cost[by0:by1, bx0:bx1, i] = sad
-
-    best = np.argmin(cost, axis=2)
     darr = np.asarray(disps)  # (D, 2) rows (dv, du)
+    order = (darr[:, 0] + rv) * nu + darr[:, 1] + ru
+    best = np.argmin(cost.reshape(nv * nu, nby, nbx)[order], axis=0)
     dv_best = darr[best, 0].astype(float)
     du_best = darr[best, 1].astype(float)
+    a_tiles = np.asarray(frame_a, dtype=float)[:h2, :w2].reshape(nby, block, nbx, block)
+    a_tiles = a_tiles.swapaxes(1, 2)
+    texture = np.abs(a_tiles - a_tiles.mean(axis=(2, 3), keepdims=True)).mean(axis=(2, 3))
     flat = texture <= texture_threshold
     dv_best[flat] = 0.0
     du_best[flat] = 0.0
 
     u = np.zeros((h, w))
     v = np.zeros((h, w))
-    u[:h2, :w2] = np.kron(du_best, np.ones((block, block)))
-    v[:h2, :w2] = np.kron(dv_best, np.ones((block, block)))
+    u[:h2, :w2] = np.repeat(np.repeat(du_best, block, axis=0), block, axis=1)
+    v[:h2, :w2] = np.repeat(np.repeat(dv_best, block, axis=0), block, axis=1)
     return FlowField(u=u, v=v)
 
 

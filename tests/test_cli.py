@@ -396,6 +396,40 @@ def test_malformed_signal_and_stream_rows_exit_one_naming_line(tmp_path, capsys)
     assert diag["error"] == "ValueError" and "frames.jsonl line 4" in diag["message"]
 
 
+def test_latency_non_finite_fps_exits_one_naming_value(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    for view in ("a", "b"):
+        (tmp_path / view).mkdir()
+        for k in range(4):
+            fileio.write_pgm(str(tmp_path / view / f"f{k}.pgm"), rng.integers(0, 256, (16, 16)))
+    for fps in ("inf", "nan"):
+        rc = main(["latency", "--frames-a", str(tmp_path / "a"), "--frames-b", str(tmp_path / "b"),
+                   "--fps", fps, "--region-a", "0,0,16,16,1,0", "--region-b", "0,0,16,16,1,0",
+                   "--out", str(tmp_path / "lag.json")])
+        assert rc == 1
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["error"] == "ValueError" and f"rate {fps} Hz" in diag["message"]
+    assert not (tmp_path / "lag.json").exists()
+
+
+def test_map_refuses_non_integer_timestamp(tmp_path, capsys):
+    write_mapping_inputs(tmp_path)
+    profile = tmp_path / "profile.json"
+    main(["calibrate-map", "--neutral", str(tmp_path / "neutral.json"),
+          "--robot", str(tmp_path / "robot.json"), "--out", str(profile)])
+    frames = tmp_path / "frames.jsonl"
+    rows = frames.read_text().splitlines()
+    first = json.loads(rows[0])
+    for stamp in (1.9, True):
+        first["timestamp_ns"] = stamp
+        frames.write_text("\n".join([json.dumps(first)] + rows[1:]) + "\n")
+        rc = main(["map", "--profile", str(profile), "--frames", str(frames),
+                   "--out", str(tmp_path / "mapped.jsonl")])
+        assert rc == 1
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["error"] == "ValueError" and "frames.jsonl line 1" in diag["message"]
+
+
 # ------------------------------------------------------------ config file
 
 

@@ -183,6 +183,20 @@ def test_linkset_jsonl_malformed_rows_name_file_and_line(tmp_path):
             read_linkset_jsonl(path)
 
 
+def test_linkset_jsonl_timestamp_must_be_a_json_integer(tmp_path):
+    names = ("pelvis", "torso", "left_hand", "right_hand", "left_foot", "right_foot")
+    links = {n: {"p": [0.0, 0.0, 1.0], "q": [1.0, 0.0, 0.0, 0.0]} for n in names}
+    path = tmp_path / "rows.jsonl"
+    for stamp in (1.9, 1.0, True, False, "1", None, [1]):
+        path.write_text("\n" + json.dumps({"timestamp_ns": stamp, "links": links}) + "\n")
+        with pytest.raises(ValueError, match=r"rows\.jsonl line 2"):
+            read_linkset_jsonl(path)
+    for stamp in (0, -3, 2**64 - 1):
+        path.write_text(json.dumps({"timestamp_ns": stamp, "links": links}) + "\n")
+        ((got, _),) = read_linkset_jsonl(path)
+        assert type(got) is int and got == stamp
+
+
 def test_signal_csv_fuzz_ends_typed(tmp_path, hypothesis_settings):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

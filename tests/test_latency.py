@@ -96,6 +96,185 @@ def test_flow_input_validation():
         block_match_flow(np.zeros((16, 16)), np.zeros((16, 16)), block=2)
 
 
+def test_flow_refuses_non_finite_pixels():
+    frame = np.random.default_rng(8).uniform(0.0, 255.0, (32, 32))
+    for bad in (np.nan, np.inf, -np.inf):
+        spoiled = frame.copy()
+        spoiled[20, 5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            block_match_flow(spoiled, frame)
+        with pytest.raises(ValueError, match="non-finite"):
+            block_match_flow(frame, spoiled)
+
+
+def _reference_flow(frame_a, frame_b, block, radius, texture_threshold):
+    """The per-displacement loop block_match_flow must reproduce: for each
+    displacement, re-centre every displaced frame-b tile and take the mean
+    absolute difference, then the first minimum in (dv**2 + du**2, du, dv)
+    order."""
+    a = np.asarray(frame_a, dtype=float)
+    b = np.asarray(frame_b, dtype=float)
+    h, w = a.shape
+    nby, nbx = h // block, w // block
+    h2, w2 = nby * block, nbx * block
+
+    def tiles(img_region, rows, cols):
+        t = img_region.reshape(rows, block, cols, block).swapaxes(1, 2)
+        return t - t.mean(axis=(2, 3), keepdims=True)
+
+    a_tiles = tiles(a[:h2, :w2], nby, nbx)
+    texture = np.abs(a_tiles).mean(axis=(2, 3))
+    disps = sorted(
+        ((dv, du) for dv in range(-radius, radius + 1) for du in range(-radius, radius + 1)),
+        key=lambda d: (d[0] ** 2 + d[1] ** 2, d[1], d[0]),
+    )
+    cost = np.full((nby, nbx, len(disps)), np.inf)
+    for i, (dv, du) in enumerate(disps):
+        by0 = (-dv + block - 1) // block if dv < 0 else 0
+        bx0 = (-du + block - 1) // block if du < 0 else 0
+        by1 = min(nby, (h - dv) // block)
+        bx1 = min(nbx, (w - du) // block)
+        if by0 >= by1 or bx0 >= bx1:
+            continue
+        ys, xs = by0 * block, bx0 * block
+        ye, xe = by1 * block, bx1 * block
+        b_sub = tiles(b[ys + dv : ye + dv, xs + du : xe + du], by1 - by0, bx1 - bx0)
+        cost[by0:by1, bx0:bx1, i] = np.abs(a_tiles[by0:by1, bx0:bx1] - b_sub).mean(axis=(2, 3))
+    return _paint(np.asarray(disps)[np.argmin(cost, axis=2)], texture, texture_threshold, block, h, w)
+
+
+def _exact_flow(frame_a, frame_b, block, radius, texture_threshold):
+    """Brute force in exact integers: per tile, the first displacement in
+    (dv**2 + du**2, du, dv) order minimizing block**2 times the
+    mean-removed SAD; the texture test is the float64 one of the loop."""
+    a = np.asarray(frame_a, dtype=np.int64)
+    b = np.asarray(frame_b, dtype=np.int64)
+    h, w = a.shape
+    nby, nbx = h // block, w // block
+    bb = block * block
+    t = np.asarray(frame_a, dtype=float)[: nby * block, : nbx * block]
+    t = t.reshape(nby, block, nbx, block).swapaxes(1, 2)
+    texture = np.abs(t - t.mean(axis=(2, 3), keepdims=True)).mean(axis=(2, 3))
+    disps = sorted(
+        ((dv, du) for dv in range(-radius, radius + 1) for du in range(-radius, radius + 1)),
+        key=lambda d: (d[0] ** 2 + d[1] ** 2, d[1], d[0]),
+    )
+    best = np.zeros((nby, nbx, 2), dtype=int)
+    for ty in range(nby):
+        for tx in range(nbx):
+            y, x = ty * block, tx * block
+            ta = a[y : y + block, x : x + block]
+            best_cost = None
+            for dv, du in disps:
+                if not (0 <= y + dv <= h - block and 0 <= x + du <= w - block):
+                    continue
+                tb = b[y + dv : y + dv + block, x + du : x + du + block]
+                c = int(np.abs(bb * (ta - tb) - (ta.sum() - tb.sum())).sum())
+                if best_cost is None or c < best_cost:
+                    best_cost, best[ty, tx] = c, (dv, du)
+    return _paint(best, texture, texture_threshold, block, h, w)
+
+
+def _paint(best, texture, texture_threshold, block, h, w):
+    """(u, v) of per-tile (dv, du) winners, zero on flat tiles and borders."""
+    best = np.where((texture <= texture_threshold)[..., None], 0, best).astype(float)
+    nby, nbx = texture.shape
+    u = np.zeros((h, w))
+    v = np.zeros((h, w))
+    u[: nby * block, : nbx * block] = np.kron(best[..., 1], np.ones((block, block)))
+    v[: nby * block, : nbx * block] = np.kron(best[..., 0], np.ones((block, block)))
+    return u, v
+
+
+def _frame_pair_cases(st, blocks):
+    """Integer frame pairs with block, radius and texture threshold: shapes
+    not a multiple of the block, radii 0-6 or beyond the frame, and scenes
+    full of exact ties (constant, two-level, periodic, diagonal stripes)
+    next to random and shifted ones, at 8-bit and 16-bit pixel ranges."""
+
+    @st.composite
+    def cases(draw):
+        block = draw(st.sampled_from(blocks))
+        h = block * draw(st.integers(1, 3)) + draw(st.integers(0, block - 1))
+        w = block * draw(st.integers(1, 3)) + draw(st.integers(0, block - 1))
+        radius = draw(st.one_of(st.integers(0, 6), st.just(max(h, w) + 2)))
+        maxval = draw(st.sampled_from([255, 65535]))
+        kinds = ["random", "shifted", "constant", "two-level", "periodic", "diagonal"]
+        kind = draw(st.sampled_from(kinds))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if kind == "constant":
+            a = np.full((h, w), rng.integers(0, maxval + 1))
+            b = np.full((h, w), rng.integers(0, maxval + 1))
+        elif kind == "two-level":
+            lo, hi = np.sort(rng.integers(0, maxval + 1, 2))
+            a = np.where(rng.random((h, w)) < 0.5, lo, hi)
+            b = np.where(rng.random((h, w)) < 0.5, lo, hi)
+        elif kind in ("periodic", "diagonal"):  # displacements a period apart tie
+            yy, xx = np.mgrid[0:h, 0:w]
+            dy, dx = rng.integers(-3, 4, 2)
+            if kind == "periodic":  # a patch repeating every few pixels
+                patch = rng.integers(0, maxval + 1, rng.integers(1, 5, 2))
+                a = patch[yy % patch.shape[0], xx % patch.shape[1]]
+                b = patch[(yy - dy) % patch.shape[0], (xx - dx) % patch.shape[1]]
+            else:  # stripes: (dv, du) ties with (dv + 1, du -+ 1)
+                stripes = rng.integers(0, maxval + 1, rng.integers(2, 6))
+                slope = rng.choice([-1, 1])
+                a = stripes[(xx + slope * yy) % stripes.size]
+                b = stripes[(xx - dx + slope * (yy - dy)) % stripes.size]
+        else:
+            a = rng.integers(0, maxval + 1, (h, w))
+            b = rng.integers(0, maxval + 1, (h, w))
+            if kind == "shifted":
+                b = np.clip(np.roll(a, rng.integers(-4, 5, 2), axis=(0, 1)) + rng.integers(-2, 3), 0, maxval)
+        threshold = draw(st.sampled_from([0.0, 1.0, 0.2 * maxval]))
+        return a, b, block, radius, threshold, maxval
+
+    return cases()
+
+
+def test_flow_equals_displacement_loop_on_power_of_two_blocks(hypothesis_settings):
+    """For 4, 8 and 16 pixel blocks, every cost of the pixel-offset kernel
+    is block**4 times the loop's float cost exactly, so the flows are
+    equal: on uint8 and uint16 frames (integer kernel) and on the same
+    pixels as float64 (float kernel)."""
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis_settings(300)
+    @hypothesis.given(_frame_pair_cases(hypothesis.strategies, [4, 8, 16]))
+    def check(case):
+        a, b, block, radius, threshold, maxval = case
+        want_u, want_v = _reference_flow(a, b, block, radius, threshold)
+        dtypes = [np.uint16, np.float64] + ([np.uint8] if maxval <= 255 else [])
+        for dtype in dtypes:
+            flow = block_match_flow(a.astype(dtype), b.astype(dtype), block, radius, threshold)
+            assert np.array_equal(flow.u, want_u) and np.array_equal(flow.v, want_v), dtype
+
+    check()
+
+
+def test_flow_equals_exact_integer_costs_on_other_blocks(hypothesis_settings):
+    """For block sizes that are not powers of two, integer frames are
+    matched on exact costs: the flows equal an integer brute force, also
+    for int64 pixels far from zero whose span is small."""
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis_settings(300)
+    @hypothesis.given(_frame_pair_cases(hypothesis.strategies, [5, 6, 7, 9, 12]))
+    def check(case):
+        a, b, block, radius, threshold, maxval = case
+        want_u, want_v = _exact_flow(a, b, block, radius, threshold)
+        dtypes = [np.uint16] + ([np.uint8] if maxval <= 255 else [])
+        for dtype in dtypes:
+            flow = block_match_flow(a.astype(dtype), b.astype(dtype), block, radius, threshold)
+            assert np.array_equal(flow.u, want_u) and np.array_equal(flow.v, want_v), dtype
+        a, b = a.astype(np.int64) - 2**40, b.astype(np.int64) - 2**40
+        want_u, want_v = _exact_flow(a, b, block, radius, threshold)
+        flow = block_match_flow(a, b, block, radius, threshold)
+        assert np.array_equal(flow.u, want_u) and np.array_equal(flow.v, want_v), "offset int64"
+
+    check()
+
+
 # --------------------------------------------------------------- projection
 
 
@@ -415,3 +594,13 @@ def test_motion_signal_validation():
         MotionSignal(np.array([1.0, 2.0]), 0.0)
     with pytest.raises(ValueError):
         MotionSignal(np.array([1.0, np.nan]), 10.0)
+
+
+def test_motion_signal_refuses_non_finite_rate_and_start():
+    samples = np.sin(np.arange(500) / 7.0)
+    for rate in (float("nan"), float("inf"), -float("inf"), -1.0):
+        with pytest.raises(ValueError, match=f"rate {rate} Hz"):
+            MotionSignal(samples, rate)
+    for t0 in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=f"start time {t0} s"):
+            MotionSignal(samples, 100.0, t0)
