@@ -11,7 +11,13 @@ Run:  python3 demos/05_streaming_pipeline.py   (~10 s)
 
 import numpy as np
 
-from extremctl.pipeline import PipelineConfig, fit_latency_line, latency_budget, run_pipeline
+from extremctl.pipeline import (
+    PipelineConfig,
+    fit_latency_line,
+    latency_budget,
+    run_pipeline,
+    run_pipeline_sweep,
+)
 
 
 def show(label, budget):
@@ -44,13 +50,15 @@ print(f"\n+30 ms network delay: overall {budget.overall_ms:.2f} -> "
       f"{slow.overall_ms:.2f} ms (shift {slow.overall_ms - budget.overall_ms:.2f})")
 
 # ===== 3. feedforward shrinks the control share =====
+# The transport does not depend on eta: the sweep simulates it once and
+# runs only the joint once per eta.
 print("\n  eta   control_ms   overall_ms")
 controls, overalls = [], []
-for eta in (0.0, 0.3, 0.6, 0.9):
-    b = latency_budget(run_pipeline(PipelineConfig(duration_s=8.0, seed=5, eta=eta)))
+for rec in run_pipeline_sweep(config, (0.0, 0.3, 0.6, 0.9)):
+    b = latency_budget(rec)
     controls.append(b.control_ms)
     overalls.append(b.overall_ms)
-    print(f"  {eta:3.1f}   {b.control_ms:10.2f}   {b.overall_ms:10.2f}")
+    print(f"  {b.eta:3.1f}   {b.control_ms:10.2f}   {b.overall_ms:10.2f}")
 
 fit = fit_latency_line(controls, overalls)
 print(f"\noverall vs control: slope {fit.slope:.3f}, intercept "

@@ -31,6 +31,7 @@ from .plant import (
     actuator_torque,
     equivalent_delay,
     frequency_response,
+    held_joint_q,
     make_sinusoid,
     max_feedforward_ratio,
     plant_from_dict,
@@ -88,6 +89,7 @@ from .pipeline import (
     fit_latency_line,
     latency_budget,
     run_pipeline,
+    run_pipeline_sweep,
 )
 
 __version__ = "0.1.0"

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -32,7 +33,13 @@ from . import fileio
 from .impedance import CalibrationConfig, calibrate_chain
 from .latency import MotionSignal, RegionSpec, analyze_pair
 from .mapping import CalibrationProfile, LinkSet, RobotModel, calibrate, map_frame
-from .pipeline import PipelineConfig, fit_latency_line, latency_budget, run_pipeline
+from .pipeline import (
+    PipelineConfig,
+    fit_latency_line,
+    latency_budget,
+    run_pipeline,
+    run_pipeline_sweep,
+)
 from .plant import (
     GainSchedule,
     make_sinusoid,
@@ -204,23 +211,36 @@ def _cmd_delay_curve(args: argparse.Namespace) -> int:
 def _cmd_latency(args: argparse.Namespace) -> int:
     m = _Merged(args)
     fps = m.get("fps", None, float)
+    if fps is not None and not (math.isfinite(fps) and fps > 0):
+        raise ValueError(f"--fps: rate {fps} Hz must be finite and positive")
     max_lag = m.get("max-lag", 1.0, float)
+    if not (math.isfinite(max_lag) and max_lag > 0):
+        raise ValueError(f"--max-lag: max_lag_s {max_lag} must be finite and positive")
 
-    def load_side(which: str):
-        signal = m.get(f"signal-{which}")
-        frames = m.get(f"frames-{which}")
-        flows = m.get(f"flows-{which}")
-        region = m.get(f"region-{which}")
-        if signal is not None:
-            return fileio.read_signal_csv(signal), None
-        if flows is not None:
-            return fileio.read_flow_dir(flows), RegionSpec.parse(region)
-        if frames is not None:
-            return fileio.read_frame_dir(frames), RegionSpec.parse(region)
+    def region(which: str) -> RegionSpec:
+        text = m.get(f"region-{which}")
+        if text is None:
+            raise ValueError(f"--region-{which} is required with frame or flow input")
+        try:
+            return RegionSpec.parse(text)
+        except ValueError as exc:
+            raise ValueError(f"--region-{which}: {exc}") from None
+
+    def side(which: str):
+        """(reader, path, region) for one side; every flag is checked here,
+        before any input is read or matched."""
+        for kind, reader in (
+            ("signal", fileio.read_signal_csv),
+            ("flows", fileio.read_flow_dir),
+            ("frames", fileio.read_frame_dir),
+        ):
+            path = m.get(f"{kind}-{which}")
+            if path is not None:
+                return reader, path, None if kind == "signal" else region(which)
         raise ValueError(f"side {which}: give --signal-{which}, --frames-{which}, or --flows-{which}")
 
-    source_a, region_a = load_side("a")
-    source_b, region_b = load_side("b")
+    (read_a, path_a, region_a), (read_b, path_b, region_b) = side("a"), side("b")
+    source_a, source_b = read_a(path_a), read_b(path_b)
     report = analyze_pair(
         source_a,
         source_b,
@@ -252,7 +272,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     out: dict = {"config": config.to_dict()}
     if sweep is not None:
         etas = _parse_etas(sweep) if isinstance(sweep, str) else [float(e) for e in sweep]
-        budgets = [latency_budget(run_pipeline(replace(config, eta=e))) for e in etas]
+        budgets = [latency_budget(r) for r in run_pipeline_sweep(config, etas)]
         out["budgets"] = [b.to_dict() for b in budgets]
         if len(budgets) >= 3:
             fit = fit_latency_line(

@@ -87,6 +87,8 @@ class RegionSpec:
         d = np.asarray(self.direction, dtype=float)
         if d.shape != (2,):
             raise ValueError("direction must be a 2-vector")
+        if not np.all(np.isfinite(d)):
+            raise ValueError(f"direction {d.tolist()} must be finite")
         norm = float(np.linalg.norm(d))
         if norm <= 1e-12:
             raise ValueError("direction must be non-zero")
@@ -313,6 +315,10 @@ class LagEstimate:
 # 6e-15 on the pipeline's 10k-sample signals.
 LAG_SCREEN_BAND = 1e-7
 
+# Lags per side of zero that max_lag_s may ask for: the 2 * n + 1
+# candidate lags must be countable in an int64 index.
+MAX_LAG_SHIFTS = 2**62
+
 
 def _pearson(sa: np.ndarray, sb: np.ndarray, i0, i1, s) -> float:
     """Pearson correlation of a[i0:i1] with b[i0+s:i1+s]; -inf when either
@@ -385,7 +391,10 @@ def estimate_lag(
     amplitude drops out), then the peak is refined sub-sample by a 3-point
     parabolic fit. Differing t0 values are honored: the returned lag is in
     absolute time. Estimates whose peak correlation falls below 0.6 are
-    flagged low_confidence, not rejected.
+    flagged low_confidence, not rejected. max_lag_s must be finite and
+    positive, and max_lag_s * rate below MAX_LAG_SHIFTS; lags at which the
+    signals cannot overlap are not searched, so a range wider than the
+    signals costs no more than one that just covers them.
 
     The search runs in two stages. A screen computes an approximate
     correlation for every lag in one pass (window sums from prefix sums,
@@ -406,9 +415,18 @@ def estimate_lag(
     if float(np.std(sa)) <= 1e-12 or float(np.std(sb)) <= 1e-12:
         raise ConstantSignal("cannot align a constant signal")
 
-    max_shift = int(round(max_lag_s * rate))
+    if not (math.isfinite(max_lag_s) and max_lag_s > 0):
+        raise ValueError(f"max_lag_s {max_lag_s} must be finite and positive")
+    lags = max_lag_s * rate
+    if not lags < MAX_LAG_SHIFTS:
+        raise ValueError(
+            f"max_lag_s {max_lag_s} at {rate} Hz gives {lags:g} lags per side, "
+            f"beyond the int64 index range"
+        )
     min_overlap = max(2, int(round(min_overlap_s * rate)))
     na, nb = sa.size, sb.size
+    # No shift beyond either length leaves any overlap, so none is searched.
+    max_shift = min(int(round(lags)), max(na, nb))
 
     shifts = np.arange(-max_shift, max_shift + 1)
     i0 = np.maximum(0, -shifts)

@@ -11,6 +11,15 @@ fixed seed reproduces the record bit for bit.
 The harness drives one decoupled joint from an extremity signal instead of
 a learned whole-body policy; that isolates transport, hold, and controller
 response, the quantities the latency budget decomposes.
+
+A run has two phases. Phase 1, the transport, steps the virtual clock
+through emit, jitter, drop, delivery, mailbox, map_frame and the held
+target, and records one held (q, qdot) target per control tick. Nothing
+in it depends on eta, zeta, omega_n or the plant inertia. Phase 2, the
+plant, integrates the joint under those held targets as a Python-float
+recurrence (plant.held_joint_q: step's operations in step's order).
+run_pipeline is phase 1 then phase 2; run_pipeline_sweep runs phase 1
+once and phase 2 once per eta, and its records equal run_pipeline's.
 """
 
 from __future__ import annotations
@@ -18,16 +27,17 @@ from __future__ import annotations
 import heapq
 import math
 import socket
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 import numpy as np
 
 from .errors import ExtremControlError
 from .impedance import TWO_PI
 from .latency import MotionSignal, estimate_lag
-from .mapping import CalibrationProfile, LinkSet, RobotModel, calibrate, map_frame
-from .plant import DecoupledLinear, GainSchedule, JointState, equivalent_delay, step
-from .se3 import Pose
+from .mapping import CalibrationProfile, LinkSet, RobotModel, _row, calibrate, map_frame
+from .plant import DecoupledLinear, GainSchedule, equivalent_delay, held_joint_q
+from .plant import step  # noqa: F401  (unused here; perfbench's tracer wraps pipeline.step)
 from .wire import LatestValueMailbox, PoseFrame, decode_frame, encode_frame
 
 
@@ -166,7 +176,7 @@ class PipelineConfig:
         return PipelineConfig(**kwargs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConsumedFrame:
     """Transport bookkeeping for one frame actually used by the control loop."""
 
@@ -181,7 +191,11 @@ class ConsumedFrame:
 
 @dataclass
 class PipelineRecord:
-    """Low-level-rate trajectories plus transport bookkeeping."""
+    """Low-level-rate trajectories plus transport bookkeeping.
+
+    t, human_signal and q_target_held are read-only: the records of one
+    sweep share them.
+    """
 
     t: np.ndarray
     human_signal: np.ndarray  # true extremity displacement, meters
@@ -197,43 +211,41 @@ class PipelineRecord:
         return 1.0 / self.config.control_rate_hz
 
 
-def run_pipeline(config: PipelineConfig) -> PipelineRecord:
-    """Simulate the full capture -> transport -> control -> plant path.
+@dataclass
+class _Transport:
+    """Phase 1 of a run: everything upstream of the plant."""
 
-    Returns trajectories sampled at the low-level rate. Deterministic for a
-    fixed config (jitter and drops come from one seeded generator; all
-    clocks are virtual).
+    t: np.ndarray
+    human_signal: np.ndarray
+    q_ticks: list[float]  # held target per control tick, rad
+    qdot_ticks: list[float]  # its finite-difference velocity, rad/s
+    consumed: list[ConsumedFrame]
+    staleness_ns: list[int]
+    frames_emitted: int
+
+
+def _run_transport(config: PipelineConfig, n_steps: int, substeps: int) -> _Transport:
+    """Emit, jitter, drop, deliver, read and retarget on the virtual clock.
+
+    Steps the low-level clock as the plant would, so every channel event
+    happens at the same step, in the same order, with the same draws from
+    the seeded generator; the plant never feeds back into any of it.
     """
     rng = np.random.default_rng(config.seed)
     profile = config.resolve_profile()
     motion = config.motion
+    row, axis = _row(motion.link), motion.axis
 
     # Motion always plays out around the built-in performer's neutral; a
-    # custom profile is applied to those frames as-is.
+    # custom profile is applied to those frames as-is. Each human frame is
+    # the neutral array with one translation entry moved.
     neutral = default_human_neutral()
-    base_pose = neutral.pose(motion.link)
-    neutral_target = map_frame(profile, neutral).pose(motion.link).translation[motion.axis]
-
-    def human_links(t: float) -> LinkSet:
-        offset = np.zeros(3)
-        offset[motion.axis] = motion.displacement(t)
-        return neutral.with_pose(
-            motion.link, Pose(base_pose.rotation, base_pose.translation + offset)
-        )
+    human = neutral.array.copy()
+    base = float(human[row, axis])
+    neutral_target = map_frame(profile, neutral).array[row, axis]
 
     dt = 1.0 / config.lowlevel_rate_hz
-    substeps = int(round(config.lowlevel_rate_hz / config.control_rate_hz))
     control_dt = substeps * dt
-    n_steps = int(round(config.duration_s * config.lowlevel_rate_hz))
-
-    plant = DecoupledLinear(inertia=np.array([config.plant_inertia]), physics_dt=dt)
-    gains = GainSchedule.from_impedance(
-        m_eff=np.array([config.plant_inertia]),
-        omega_n=config.omega_n,
-        zeta=config.zeta,
-        eta=config.eta,
-    )
-    state = JointState.at_rest(np.zeros(1))
     mailbox = LatestValueMailbox()
 
     capture_dt = 1.0 / config.capture_rate_hz
@@ -242,26 +254,24 @@ def run_pipeline(config: PipelineConfig) -> PipelineRecord:
     deliveries: list[tuple[float, int, bytes]] = []
     consumed: list[ConsumedFrame] = []
     staleness: list[int] = []
-
-    held_q = np.zeros(1)
-    held_qd = np.zeros(1)
+    q_ticks: list[float] = []
+    qdot_ticks: list[float] = []
     prev_target = 0.0
     last_seq_used = -1
 
     t_axis = np.empty(n_steps)
     rec_human = np.empty(n_steps)
-    rec_target = np.empty(n_steps)
-    rec_q = np.empty(n_steps)
 
     for k in range(n_steps):
         t = k * dt
 
         # Capture side: emit every frame due by now through the channel.
         while next_capture <= t + 1e-12:
+            human[row, axis] = base + motion.displacement(next_capture)
             frame = PoseFrame(
                 seq=seq,
                 timestamp_ns=int(round(next_capture * 1e9)),
-                links=human_links(next_capture),
+                links=LinkSet.from_array(human),
             )
             payload = encode_frame(frame)
             jitter = config.jitter_std_s * float(rng.standard_normal())
@@ -283,36 +293,82 @@ def run_pipeline(config: PipelineConfig) -> PipelineRecord:
             result = mailbox.read(now_ns)
             target = prev_target
             if result.frame is not None:
-                mapped = map_frame(profile, result.frame.links)
-                pos = mapped.pose(motion.link).translation[motion.axis]
-                target = config.target_scale * (pos - neutral_target)
+                pos = map_frame(profile, result.frame.links).array[row, axis]
+                target = float(config.target_scale * (pos - neutral_target))
                 if result.frame.seq != last_seq_used:
                     consumed.append(
                         ConsumedFrame(result.frame.seq, result.frame.timestamp_ns, now_ns)
                     )
                     last_seq_used = result.frame.seq
                 staleness.append(result.staleness_ns)
-            held_qd = np.array([(target - prev_target) / control_dt])
-            held_q = np.array([target])
+            q_ticks.append(target)
+            qdot_ticks.append((target - prev_target) / control_dt)
             prev_target = target
 
-        state = step(plant, state, held_q, held_qd, gains)
         t_post = t + dt
         t_axis[k] = t_post
         rec_human[k] = motion.displacement(t_post)
-        rec_target[k] = held_q[0]
-        rec_q[k] = state.q[0]
 
-    return PipelineRecord(
+    return _Transport(
         t=t_axis,
         human_signal=rec_human,
-        q_target_held=rec_target,
-        q=rec_q,
+        q_ticks=q_ticks,
+        qdot_ticks=qdot_ticks,
         consumed=consumed,
         staleness_ns=staleness,
         frames_emitted=seq,
-        config=config,
     )
+
+
+def run_pipeline_sweep(config: PipelineConfig, etas) -> Iterator[PipelineRecord]:
+    """Yield run_pipeline(replace(config, eta=e)) for each e in etas, equal
+    field for field, with the transport simulated once.
+
+    Nothing upstream of the plant depends on eta, so phase 1 (transport,
+    see _run_transport) runs once and phase 2 (the plant, held_joint_q)
+    once per eta. Every eta is validated before any work starts (on the
+    first next()). The records share their t, human_signal and
+    q_target_held arrays, read-only; each has its own q. They come one at
+    a time, so a caller that reduces each record, to a latency budget
+    say, holds one q trajectory at a time.
+    """
+    configs = [replace(config, eta=e) for e in etas]
+    dt = 1.0 / config.lowlevel_rate_hz
+    substeps = int(round(config.lowlevel_rate_hz / config.control_rate_hz))
+    n_steps = int(round(config.duration_s * config.lowlevel_rate_hz))
+
+    plant = DecoupledLinear(inertia=np.array([config.plant_inertia]), physics_dt=dt)
+    gains = [
+        GainSchedule.from_impedance(
+            m_eff=plant.inertia, omega_n=c.omega_n, zeta=c.zeta, eta=c.eta
+        )
+        for c in configs
+    ]
+    tr = _run_transport(config, n_steps, substeps)
+    q_target_held = np.repeat(np.array(tr.q_ticks), substeps)[:n_steps]
+    for shared in (tr.t, tr.human_signal, q_target_held):
+        shared.flags.writeable = False
+    for c, g in zip(configs, gains):
+        yield PipelineRecord(
+            t=tr.t,
+            human_signal=tr.human_signal,
+            q_target_held=q_target_held,
+            q=held_joint_q(plant, g, tr.q_ticks, tr.qdot_ticks, substeps, n_steps),
+            consumed=list(tr.consumed),
+            staleness_ns=list(tr.staleness_ns),
+            frames_emitted=tr.frames_emitted,
+            config=c,
+        )
+
+
+def run_pipeline(config: PipelineConfig) -> PipelineRecord:
+    """Simulate the full capture -> transport -> control -> plant path.
+
+    Returns trajectories sampled at the low-level rate. Deterministic for a
+    fixed config (jitter and drops come from one seeded generator; all
+    clocks are virtual).
+    """
+    return next(run_pipeline_sweep(config, [config.eta]))
 
 
 @dataclass

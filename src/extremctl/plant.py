@@ -26,6 +26,7 @@ dimension, so parallel environments step in lockstep.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
@@ -363,7 +364,49 @@ def step(
     return JointState(q, qdot, tau)
 
 
-Reference = Callable[[float], Union[np.ndarray, float, tuple]]
+def held_joint_q(
+    plant: DecoupledLinear,
+    gains: GainSchedule,
+    q_ticks: Sequence[float],
+    qdot_ticks: Sequence[float],
+    substeps: int,
+    n_steps: int,
+) -> np.ndarray:
+    """Positions of one decoupled joint, from rest, under held targets.
+
+    Target i, (q_ticks[i], qdot_ticks[i]), is held for physics steps
+    i * substeps up to (i + 1) * substeps; n_steps steps run in all. This
+    is `step` on Python floats instead of 1-element arrays: the same
+    operations in the same order, so q[k] equals what a `step` loop gives
+    bit for bit, with the same NumericalBlowup checks after every step.
+    Takes a one-joint plant without joint limits.
+    """
+    if plant.n_joints != 1 or gains.n_joints != 1 or plant.joint_limits is not None:
+        raise ValueError("held_joint_q takes one joint without joint limits")
+    inertia, dt = float(plant.inertia[0]), plant.physics_dt
+    kp, kd, eta = float(gains.kp[0]), float(gains.kd[0]), float(gains.eta[0])
+    bound, inf = QDOT_BLOWUP, math.inf
+    q = qdot = 0.0
+    out = array("d")  # unboxed: no float object per step
+    for i in range(-(-n_steps // substeps)):
+        q_t = q_ticks[i]
+        feedforward = eta * kd * qdot_ticks[i]
+        for _ in range(min(substeps, n_steps - i * substeps)):
+            tau = kp * (q_t - q) - kd * qdot
+            if eta != 0.0:
+                tau = tau + feedforward
+            qdot = qdot + dt * (tau / inertia)
+            q = q + dt * qdot
+            # Comparisons with NaN are False, so NaN fails both ranges.
+            if not (-bound <= qdot <= bound and -inf < q < inf):
+                if not (math.isfinite(q) and math.isfinite(qdot)):
+                    raise NumericalBlowup("non-finite joint state")
+                raise NumericalBlowup(f"|qdot| exceeded {QDOT_BLOWUP:g} rad/s")
+            out.append(q)
+    return np.frombuffer(out)
+
+
+Reference =Callable[[float], Union[np.ndarray, float, tuple]]
 
 
 def make_sinusoid(amplitude: float, omega: float, analytic_velocity: bool = True) -> Reference:
@@ -492,7 +535,8 @@ def max_feedforward_ratio(omega_n: float, control_dt: float) -> float:
     period on average; staying at or below 1 - omega_n * control_dt / 4
     keeps the net torque from accelerating the joint beyond the commanded
     velocity. Raises Infeasible when omega_n * control_dt >= 4 (no valid
-    ratio).
+    ratio). Derived for critical damping, zeta = 1 (kd = 2 omega_n per
+    unit inertia); the bound does not hold for other damping ratios.
     """
     if omega_n <= 0 or control_dt <= 0:
         raise ValueError("omega_n and control_dt must be positive")
@@ -517,7 +561,8 @@ def zoh_interval_overshoot(
     mean ZOH deviation qdot_t * dt / 2, and returns the peak velocity
     excess (qdot - qdot_t) / qdot_t. Positive means the feedforward drives
     the joint beyond the commanded velocity inside one interval; the sign
-    flips at eta = 1 - omega_n * control_dt / 4.
+    flips at eta = 1 - omega_n * control_dt / 4. The gains are those of
+    zeta = 1 (kp = omega_n^2, kd = 2 omega_n); there is no zeta parameter.
     """
     if qdot_t <= 0:
         raise ValueError("qdot_t must be positive")

@@ -14,7 +14,13 @@ import pytest
 from extremctl.impedance import CalibrationConfig, calibrate_chain
 from extremctl.latency import RegionSpec, analyze_pair
 from extremctl.mapping import LINKS, LinkSet, RobotModel, calibrate, map_frame
-from extremctl.pipeline import PipelineConfig, fit_latency_line, latency_budget, run_pipeline
+from extremctl.pipeline import (
+    PipelineConfig,
+    fit_latency_line,
+    latency_budget,
+    run_pipeline,
+    run_pipeline_sweep,
+)
 from extremctl.plant import (
     DecoupledLinear,
     PlanarChain,
@@ -216,9 +222,8 @@ def test_08_pipeline_budget_accounting():
                                                       network_delay_s=0.03)))
     shift = slow.overall_ms - base.overall_ms
 
-    controls = [latency_budget(run_pipeline(PipelineConfig(duration_s=6.0, seed=5,
-                                                           eta=eta))).control_ms
-                for eta in ETAS]
+    controls = [latency_budget(rec).control_ms
+                for rec in run_pipeline_sweep(PipelineConfig(duration_s=6.0, seed=5), ETAS)]
     decreasing = all(a > b for a, b in zip(controls, controls[1:]))
 
     x = np.array([20.0, 50.0, 80.0, 110.0, 140.0, 170.0, 200.0])

@@ -338,6 +338,11 @@ def test_pipeline_eta_sweep_fits_line(tmp_path):
     assert [b["eta"] for b in report["budgets"]] == [0.0, 0.45, 0.9]
     control = [b["control_ms"] for b in report["budgets"]]
     assert control[0] > control[1] > control[2]
+    # Pinned to the values of one full run per eta; simulating the
+    # transport once per sweep must not move them.
+    assert control == [192.65138640691538, 105.76483449472326, 31.270549694079907]
+    assert [b["overall_ms"] for b in report["budgets"]] == [
+        206.4540411459606, 119.53060863843872, 45.1175212242206]
     assert report["fit"]["r_squared"] > 0.999
     assert 0.5 < report["fit"]["slope"] < 1.5
 
@@ -409,6 +414,53 @@ def test_latency_non_finite_fps_exits_one_naming_value(tmp_path, capsys):
         assert rc == 1
         diag = json.loads(capsys.readouterr().err)
         assert diag["error"] == "ValueError" and f"rate {fps} Hz" in diag["message"]
+    assert not (tmp_path / "lag.json").exists()
+
+
+def test_latency_refuses_bad_max_lag_naming_value(tmp_path, capsys):
+    wave = MotionSignal(np.sin(np.arange(300) / 10.0), 100.0)
+    fileio.write_signal_csv(str(tmp_path / "a.csv"), wave)
+    for max_lag in ("inf", "nan", "1e300"):
+        rc = main(["latency", "--signal-a", str(tmp_path / "a.csv"),
+                   "--signal-b", str(tmp_path / "a.csv"), "--max-lag", max_lag,
+                   "--out", str(tmp_path / "lag.json")])
+        assert rc == 1
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["error"] == "ValueError"
+        assert f"max_lag_s {float(max_lag)} " in diag["message"]
+    assert not (tmp_path / "lag.json").exists()
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--fps", "0", "--fps: rate 0.0 Hz"),
+    ("--fps", "inf", "--fps: rate inf Hz"),
+    ("--max-lag", "nan", "--max-lag: max_lag_s nan"),
+    ("--region-a", "0,0,16,16,nan,0", "--region-a: direction"),
+    ("--region-b", "0,0,16,16,inf,0", "--region-b: direction"),
+    ("--region-b", "0,0,16,16,1", "--region-b: expected x,y,w,h,dx,dy"),
+    ("--region-b", None, "--region-b is required"),
+])
+def test_latency_checks_flags_before_matching(tmp_path, capsys, monkeypatch, flag, value, named):
+    from extremctl import latency
+
+    def no_matching(*args, **kwargs):
+        raise AssertionError("frames block-matched before the flags were checked")
+
+    monkeypatch.setattr(latency, "block_match_flow", no_matching)
+    rng = np.random.default_rng(4)
+    for view in ("a", "b"):
+        (tmp_path / view).mkdir()
+        for k in range(4):
+            fileio.write_pgm(str(tmp_path / view / f"f{k}.pgm"), rng.integers(0, 256, (16, 16)))
+    flags = {"--fps": "30", "--region-a": "0,0,16,16,1,0", "--region-b": "0,0,16,16,1,0"}
+    flags[flag] = value
+    argv = ["latency", "--frames-a", str(tmp_path / "a"), "--frames-b", str(tmp_path / "b"),
+            "--out", str(tmp_path / "lag.json")]
+    for k, v in flags.items():
+        argv += [k, v] if v is not None else []
+    assert main(argv) == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ValueError" and named in diag["message"]
     assert not (tmp_path / "lag.json").exists()
 
 

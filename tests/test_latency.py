@@ -3,6 +3,7 @@ lag estimation: constructed shifts with known answers, invariance
 properties, and the degenerate inputs that must refuse loudly."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -306,6 +307,9 @@ def test_region_parse():
         RegionSpec.parse("2,3,16,8")
     with pytest.raises(ValueError):
         RegionSpec(0, 0, 4, 4, (0.0, 0.0))
+    for text in ("0,0,4,4,nan,0", "0,0,4,4,inf,0", "0,0,4,4,1,-inf"):
+        with pytest.raises(ValueError, match="must be finite"):
+            RegionSpec.parse(text)
 
 
 # ----------------------------------------------------------- standardization
@@ -426,6 +430,21 @@ def test_lag_error_paths():
         estimate_lag(flatline, flatline)
     with pytest.raises(ValueError):
         estimate_lag(MotionSignal(two_tone(t), 100.0), MotionSignal(two_tone(t), 60.0))
+    signal = MotionSignal(two_tone(np.arange(300) / rate), rate)
+    for max_lag_s in (math.inf, math.nan, 0.0, -1.0, 1e300):
+        with pytest.raises(ValueError, match=re.escape(f"max_lag_s {max_lag_s} ")):
+            estimate_lag(signal, signal, max_lag_s=max_lag_s)
+
+
+def test_lag_range_beyond_the_signals_costs_nothing_extra():
+    """Lags at which the signals cannot overlap are not searched, so a
+    search range of 1e12 s (1e14 lags per side) answers at once, and as
+    the range that just covers both signals does."""
+    rate = 100.0
+    t = np.arange(300) / rate
+    a = MotionSignal(two_tone(t), rate)
+    b = MotionSignal(two_tone(t[:250] - 0.37), rate)
+    assert estimate_lag(a, b, max_lag_s=1e12) == estimate_lag(a, b, max_lag_s=3.0)
 
 
 def test_unrelated_noise_is_flagged_not_fatal():
@@ -447,6 +466,8 @@ def _reference_lag(a, b, max_lag_s, min_overlap_s):
     sa, sb = a.samples, b.samples
     if float(np.std(sa)) <= 1e-12 or float(np.std(sb)) <= 1e-12:
         raise ConstantSignal("constant")
+    if not (math.isfinite(max_lag_s) and max_lag_s > 0):
+        raise ValueError("max_lag_s must be finite and positive")
     max_shift = int(round(max_lag_s * rate))
     min_overlap = max(2, int(round(min_overlap_s * rate)))
     na, nb = sa.size, sb.size

@@ -2,6 +2,7 @@
 latency accounting, config validation, and the UDP integration path."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from extremctl.pipeline import (
     fit_latency_line,
     latency_budget,
     run_pipeline,
+    run_pipeline_sweep,
 )
+from extremctl.plant import NumericalBlowup
 from extremctl.se3 import Pose, Rotation
 from extremctl.wire import LatestValueMailbox, PoseFrame
 
@@ -38,6 +41,31 @@ def test_same_seed_same_run():
     assert np.array_equal(a.human_signal, b.human_signal)
     assert [c.seq for c in a.consumed] == [c.seq for c in b.consumed]
     assert a.staleness_ns == b.staleness_ns
+
+
+def test_sweep_equals_one_run_per_eta():
+    """run_pipeline_sweep simulates the transport once; each record must
+    still equal a full run at its eta, field for field."""
+    cfg = PipelineConfig(duration_s=6.0, seed=3, jitter_std_s=0.004, drop_prob=0.05,
+                         network_delay_s=0.01)
+    etas = [0.0, 0.5, 0.9, 1.0]
+    for eta, swept in zip(etas, run_pipeline_sweep(cfg, etas)):
+        single = run_pipeline(replace(cfg, eta=eta))
+        assert swept.config == single.config == replace(cfg, eta=eta)
+        for name in ("t", "human_signal", "q_target_held", "q"):
+            assert np.array_equal(getattr(swept, name), getattr(single, name)), name
+        assert swept.consumed == single.consumed
+        assert swept.staleness_ns == single.staleness_ns
+        assert swept.frames_emitted == single.frames_emitted
+    with pytest.raises(ConfigInvalid):
+        next(run_pipeline_sweep(cfg, [0.5, 1.5]))
+
+
+def test_plant_blowup_still_raises():
+    with pytest.raises(NumericalBlowup, match=r"\|qdot\| exceeded 1e\+06 rad/s"):
+        run_pipeline(PipelineConfig(duration_s=3.0, omega_n=4000.0))
+    with np.errstate(over="ignore"), pytest.raises(NumericalBlowup, match="non-finite"):
+        run_pipeline(PipelineConfig(duration_s=1.0, omega_n=1e160, eta=0.5))
 
 
 def test_staleness_bounded_by_capture_cycle():

@@ -17,6 +17,7 @@ from extremctl.plant import (
     actuator_torque,
     equivalent_delay,
     frequency_response,
+    held_joint_q,
     make_sinusoid,
     max_feedforward_ratio,
     plant_from_dict,
@@ -102,6 +103,34 @@ def test_blowup_raises():
     gains = GainSchedule(kp=np.array([1e6]), kd=np.array([0.0]), eta=np.array([0.0]))
     with pytest.raises(NumericalBlowup):
         run_episode(plant, gains, lambda t: (1.0, 0.0), 2.0, 0.1)
+
+
+def test_held_joint_q_equals_step_loop():
+    """The float recurrence against its reference, step on 1-element
+    arrays: bit-identical positions, including a last hold cut short."""
+    rng = np.random.default_rng(8)
+    substeps, n_steps = 20, 977
+    n_ticks = -(-n_steps // substeps)
+    q_ticks = np.cumsum(rng.normal(scale=0.05, size=n_ticks)).tolist()
+    qdot_ticks = rng.normal(size=n_ticks).tolist()
+    for inertia, omega_n, zeta, eta in [(1.0, 10.0, 1.0, 0.0), (2.5, 17.0, 0.6, 0.9),
+                                        (0.3, 40.0, 1.4, 1.0)]:
+        plant = DecoupledLinear(inertia=np.array([inertia]), physics_dt=1e-3)
+        gains = GainSchedule.from_impedance(np.array([inertia]), omega_n, zeta, eta)
+        state = JointState.at_rest(np.zeros(1))
+        want = []
+        for k in range(n_steps):
+            i = k // substeps
+            state = step(plant, state, np.array([q_ticks[i]]), np.array([qdot_ticks[i]]), gains)
+            want.append(state.q[0])
+        got = held_joint_q(plant, gains, q_ticks, qdot_ticks, substeps, n_steps)
+        assert np.array_equal(got, want)
+    with pytest.raises(NumericalBlowup, match="exceeded"):
+        held_joint_q(DecoupledLinear(inertia=np.array([1.0]), physics_dt=0.1),
+                     GainSchedule(kp=np.array([1e6]), kd=np.array([0.0]), eta=np.array([0.0])),
+                     [1.0], [0.0], 20, 20)
+    with pytest.raises(ValueError):
+        held_joint_q(DecoupledLinear(inertia=np.ones(2)), unit_gains(n=2), [1.0], [0.0], 1, 1)
 
 
 def test_joint_limits_clamp_and_kill_velocity():
