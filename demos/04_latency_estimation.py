@@ -54,7 +54,8 @@ region = RegionSpec(0, 0, 64, 64, (1.0, 0.0))  # track horizontal motion, full f
 report = analyze_pair(cam_a, cam_b, region_a=region, region_b=region,
                       fps=FPS, block=8, radius=6)
 print(f"frame path: true lag {3 / FPS * 1e3:.2f} ms, "
-      f"estimated {report.lag_s*1e3:.2f} ms, confidence {report.confidence:.3f}")
+      f"estimated {report.estimate.lag_s*1e3:.2f} ms, "
+      f"confidence {report.estimate.confidence:.3f}")
 print(f"            source={report.source}, "
       f"aligned on {report.signal_a.samples.size} flow samples")
 

@@ -85,7 +85,6 @@ from .pipeline import (
     MotionSpec,
     PipelineConfig,
     PipelineRecord,
-    UdpLink,
     fit_latency_line,
     latency_budget,
     run_pipeline,

@@ -92,17 +92,17 @@ def read_pgm(path) -> np.ndarray:
     return pixels.reshape(h, w).astype(np.uint8 if maxval < 256 else np.uint16)
 
 
-def read_frame_dir(path, pattern: str = "*.pgm") -> list[np.ndarray]:
-    files = sorted(Path(path).glob(pattern))
+def read_frame_dir(path) -> list[np.ndarray]:
+    files = sorted(Path(path).glob("*.pgm"))
     if not files:
-        raise ValueError(f"no {pattern} files in {path}")
+        raise ValueError(f"no *.pgm files in {path}")
     return [read_pgm(f) for f in files]
 
 
-def read_flow_dir(path, pattern: str = "*.xflw") -> list[FlowField]:
-    files = sorted(Path(path).glob(pattern))
+def read_flow_dir(path) -> list[FlowField]:
+    files = sorted(Path(path).glob("*.xflw"))
     if not files:
-        raise ValueError(f"no {pattern} files in {path}")
+        raise ValueError(f"no *.xflw files in {path}")
     return [read_flow(f) for f in files]
 
 

@@ -27,6 +27,10 @@ from .plant import GainSchedule, PlantModel, PlanarChain, NumericalBlowup, QDOT_
 
 TWO_PI = 2.0 * np.pi
 
+# Probe stiffness per environment is drawn uniformly from this range times
+# the joint's current kp.
+KP_SAMPLE_RANGE = (0.5, 1.5)
+
 
 class NoOscillation(ExtremControlError):
     """Fewer than 3 zero crossings in the measurement window.
@@ -43,7 +47,6 @@ class CalibrationConfig:
     omega_n: float
     zeta: float = 1.0
     n_envs: int = 16
-    kp_sample_range: tuple[float, float] = (0.5, 1.5)
     perturbation: float = 0.05  # rad, release offset
     measure_window: float = 10.0  # s
     sweeps: int = 3
@@ -56,9 +59,6 @@ class CalibrationConfig:
             raise ValueError("zeta must be non-negative")
         if self.n_envs < 2:
             raise ValueError(f"n_envs {self.n_envs} must be at least 2")
-        lo, hi = self.kp_sample_range
-        if not (0.0 < lo < hi):
-            raise ValueError(f"kp_sample_range {self.kp_sample_range} must satisfy 0 < lo < hi")
         if self.perturbation <= 0:
             raise ValueError("perturbation must be positive")
         if self.measure_window <= 0 or self.sweeps < 1 or self.convergence_tol <= 0:
@@ -243,20 +243,17 @@ def measure_period(
     plant: PlantModel,
     gains: GainSchedule,
     joint: int,
-    dq: float = 0.05,
     window: float = 10.0,
-    q0: np.ndarray | None = None,
 ) -> float:
     """Free-oscillation period of one joint, damping removed.
 
-    The joint's kd is zeroed internally; gains already carrying kd = 0 on
-    the target joint pass through unchanged. Raises NoOscillation when the
-    window captures fewer than 3 zero crossings.
+    The joint is released 0.05 rad from the zero configuration, which the
+    other joints hold. Its kd is zeroed internally; gains already carrying
+    kd = 0 on the target joint pass through unchanged. Raises NoOscillation
+    when the window captures fewer than 3 zero crossings.
     """
-    if q0 is None:
-        q0 = np.zeros(plant.n_joints)
     periods = _measure_periods_batched(
-        plant, gains, joint, np.asarray([gains.kp[joint]]), dq, window, np.asarray(q0, dtype=float)
+        plant, gains, joint, np.asarray([gains.kp[joint]]), 0.05, window, np.zeros(plant.n_joints)
     )
     return float(periods[0])
 
@@ -276,25 +273,23 @@ def calibrate_chain(
     initial_gains: GainSchedule | None = None,
     seed: int | None = None,
     rng: np.random.Generator | None = None,
-    q0: np.ndarray | None = None,
 ) -> ChainCalibration:
     """Sequential distal-to-proximal impedance calibration.
 
-    Each sweep measures every joint once: zero its kd, release from
-    q0 + dq, observe oscillation periods across n_envs environments with
-    probe stiffness drawn from kp_sample_range times the joint's current
-    kp, average the resulting inertias, and refresh (kp, kd) in place so
-    later (more proximal) joints are measured against already-calibrated
-    distal loops. Stops early once the largest relative kp change over a
-    sweep drops below convergence_tol; otherwise runs config.sweeps and
-    returns converged=False.
+    Each sweep measures every joint once: zero its kd, release it
+    config.perturbation from the zero configuration, observe oscillation
+    periods across n_envs environments with probe stiffness drawn from
+    KP_SAMPLE_RANGE times the joint's current kp, average the resulting
+    inertias, and refresh (kp, kd) in place so later (more proximal)
+    joints are measured against already-calibrated distal loops. Stops
+    early once the largest relative kp change over a sweep drops below
+    convergence_tol; otherwise runs config.sweeps and returns
+    converged=False.
     """
     n = plant.n_joints
     if rng is None:
         rng = np.random.default_rng(seed)
-    if q0 is None:
-        q0 = np.zeros(n)
-    q0 = np.asarray(q0, dtype=float)
+    q0 = np.zeros(n)
 
     if initial_gains is None:
         # Random init scaled to each joint's locked-others inertia: the
@@ -315,7 +310,7 @@ def calibrate_chain(
 
     kp = initial_gains.kp.copy()
     kd = initial_gains.kd.copy()
-    lo, hi = config.kp_sample_range
+    lo, hi = KP_SAMPLE_RANGE
     order = joint_order(plant)
 
     estimates: dict[int, ImpedanceEstimate] = {}

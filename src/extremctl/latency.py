@@ -472,16 +472,14 @@ class LatencyReport:
 
     signal_a: MotionSignal
     signal_b: MotionSignal
-    lag_s: float
-    confidence: float
-    low_confidence: bool
+    estimate: LagEstimate
     source: str  # "frames" | "flows" | "signals"
 
     def to_dict(self) -> dict:
         return {
-            "lag_ms": self.lag_s * 1e3,
-            "confidence": self.confidence,
-            "low_confidence": self.low_confidence,
+            "lag_ms": self.estimate.lag_s * 1e3,
+            "confidence": self.estimate.confidence,
+            "low_confidence": self.estimate.low_confidence,
             "source": self.source,
             "rate_hz": self.signal_a.rate_hz,
             "signal_a": {"t0_s": self.signal_a.t0, "values": self.signal_a.samples.tolist()},
@@ -537,12 +535,10 @@ def analyze_pair(
 
     sig_a, kind_a = to_signal(source_a, region_a)
     sig_b, kind_b = to_signal(source_b, region_b)
-    est = estimate_lag(sig_a, sig_b, max_lag_s=max_lag_s)
+    estimate = estimate_lag(sig_a, sig_b, max_lag_s=max_lag_s)
     return LatencyReport(
         signal_a=standardize(sig_a),
         signal_b=standardize(sig_b),
-        lag_s=est.lag_s,
-        confidence=est.confidence,
-        low_confidence=est.low_confidence,
+        estimate=estimate,
         source=kind_a if kind_a == kind_b else f"{kind_a}+{kind_b}",
     )

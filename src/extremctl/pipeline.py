@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 import math
-import socket
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
@@ -35,18 +35,26 @@ import numpy as np
 from .errors import ExtremControlError
 from .impedance import TWO_PI
 from .latency import MotionSignal, estimate_lag
-from .mapping import CalibrationProfile, LinkSet, RobotModel, _row, calibrate, map_frame
-from .plant import DecoupledLinear, GainSchedule, equivalent_delay, held_joint_q
+from .mapping import LINKS, CalibrationProfile, LinkSet, RobotModel, _row, calibrate, map_frame
+from .plant import SETTLE_S, DecoupledLinear, GainSchedule, equivalent_delay, held_joint_q
 from .plant import step  # noqa: F401  (unused here; perfbench's tracer wraps pipeline.step)
 from .wire import LatestValueMailbox, PoseFrame, decode_frame, encode_frame
 
 
 class ConfigInvalid(ExtremControlError):
-    """Pipeline configuration violates a rate or probability constraint."""
+    """Pipeline configuration holds a non-finite value or violates a rate,
+    probability or sign constraint."""
 
 
 class InsufficientPoints(ExtremControlError):
     """Latency fit needs at least 3 sweep points."""
+
+
+def _check_finite(obj, names, error: type[Exception]) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise error(f"{name} {value!r} must be a finite number")
 
 
 def default_robot_model() -> RobotModel:
@@ -81,8 +89,14 @@ class MotionSpec:
     axis: int = 2
 
     def __post_init__(self) -> None:
+        _check_finite(self, ("amplitude_m", "frequency_hz"), ValueError)
         if self.amplitude_m <= 0 or self.frequency_hz <= 0:
-            raise ValueError("amplitude and frequency must be positive")
+            raise ValueError(
+                f"amplitude_m {self.amplitude_m} and frequency_hz {self.frequency_hz} "
+                f"must be positive"
+            )
+        if self.link not in LINKS:
+            raise ValueError(f"link {self.link!r} not one of {LINKS}")
         if self.axis not in (0, 1, 2):
             raise ValueError(f"axis {self.axis} not in (0, 1, 2)")
 
@@ -107,6 +121,23 @@ class MotionSpec:
         )
 
 
+# PipelineConfig's numeric fields besides seed; each must be finite.
+_FLOAT_FIELDS = (
+    "capture_rate_hz",
+    "control_rate_hz",
+    "lowlevel_rate_hz",
+    "network_delay_s",
+    "jitter_std_s",
+    "drop_prob",
+    "duration_s",
+    "omega_n",
+    "zeta",
+    "eta",
+    "plant_inertia",
+    "target_scale",
+)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     capture_rate_hz: float = 120.0
@@ -126,6 +157,7 @@ class PipelineConfig:
     profile: CalibrationProfile | None = None  # default: built-in human + robot
 
     def __post_init__(self) -> None:
+        _check_finite(self, _FLOAT_FIELDS, ConfigInvalid)
         if min(self.capture_rate_hz, self.control_rate_hz, self.lowlevel_rate_hz) <= 0:
             raise ConfigInvalid("all rates must be positive")
         ratio = self.lowlevel_rate_hz / self.control_rate_hz
@@ -140,6 +172,8 @@ class PipelineConfig:
             raise ConfigInvalid("duration must be positive; delay and jitter non-negative")
         if self.omega_n <= 0 or self.plant_inertia <= 0:
             raise ConfigInvalid("omega_n and plant_inertia must be positive")
+        if self.zeta < 0:
+            raise ConfigInvalid(f"zeta {self.zeta} must be non-negative")
         if not (0.0 <= self.eta <= 1.0):
             raise ConfigInvalid(f"eta {self.eta} outside [0, 1]")
 
@@ -149,7 +183,7 @@ class PipelineConfig:
         return calibrate(default_human_neutral(), default_robot_model())
 
     def to_dict(self) -> dict:
-        return {
+        d = {
             "capture_rate_hz": self.capture_rate_hz,
             "control_rate_hz": self.control_rate_hz,
             "lowlevel_rate_hz": self.lowlevel_rate_hz,
@@ -165,6 +199,9 @@ class PipelineConfig:
             "target_scale": self.target_scale,
             "motion": self.motion.to_dict(),
         }
+        if self.profile is not None:
+            d["profile"] = self.profile.to_dict()
+        return d
 
     @staticmethod
     def from_dict(d: dict) -> "PipelineConfig":
@@ -402,16 +439,17 @@ class LatencyBudget:
         }
 
 
-def latency_budget(record: PipelineRecord, settle_s: float = 2.0) -> LatencyBudget:
+def latency_budget(record: PipelineRecord) -> LatencyBudget:
     """Decompose one run into transport + hold + controller response.
 
-    The overall figure is measured independently (true extremity motion vs
-    realized joint) and should agree with the component sum to within the
-    accounting slack of the hold-time model.
+    Lags are measured after the first SETTLE_S seconds. The overall figure
+    is measured independently (true extremity motion vs realized joint) and
+    should agree with the component sum to within the accounting slack of
+    the hold-time model.
     """
     cfg = record.config
     rate = cfg.lowlevel_rate_hz
-    keep = record.t >= settle_s
+    keep = record.t >= SETTLE_S
     if np.count_nonzero(keep) < int(2.0 * rate):
         raise ValueError("record too short after settling trim; extend duration_s")
     if not record.consumed:
@@ -470,42 +508,3 @@ def fit_latency_line(control_ms, overall_ms) -> LatencyFit:
     sst = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if sst <= 1e-30 else 1.0 - float(np.sum(resid**2)) / sst
     return LatencyFit(slope=slope, intercept_ms=intercept, r_squared=r2)
-
-
-class UdpLink:
-    """Loopback datagram transport speaking the 353-byte frame codec.
-
-    The receiver socket is non-blocking; drain_into empties whatever has
-    arrived into a mailbox and reports the count. Integration aid, not part
-    of the deterministic simulation path.
-    """
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        self._rx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._rx.bind((host, port))
-        self._rx.setblocking(False)
-        self._tx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self.address = self._rx.getsockname()
-
-    def send(self, frame: PoseFrame) -> None:
-        self._tx.sendto(encode_frame(frame), self.address)
-
-    def drain_into(self, mailbox: LatestValueMailbox) -> int:
-        count = 0
-        while True:
-            try:
-                payload = self._rx.recv(4096)
-            except BlockingIOError:
-                return count
-            mailbox.write(decode_frame(payload))
-            count += 1
-
-    def close(self) -> None:
-        self._rx.close()
-        self._tx.close()
-
-    def __enter__(self) -> "UdpLink":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -36,6 +36,10 @@ from .errors import ExtremControlError
 
 QDOT_BLOWUP = 1e6
 
+# Seconds of settling transient trimmed before a tracking lag is measured
+# (simulate_delay_curve here, pipeline.latency_budget).
+SETTLE_S = 2.0
+
 
 class NumericalBlowup(ExtremControlError):
     """Integration produced non-finite state or |qdot| beyond 1e6 rad/s."""
@@ -64,9 +68,10 @@ class GainSchedule:
         kp = np.atleast_1d(np.asarray(self.kp, dtype=float))
         kd = np.broadcast_to(np.asarray(self.kd, dtype=float), kp.shape).copy()
         eta = np.broadcast_to(np.asarray(self.eta, dtype=float), kp.shape).copy()
-        if np.any(kp < 0) or np.any(kd < 0):
-            raise ValueError("gains must be non-negative")
-        if np.any(eta < 0) or np.any(eta > 1):
+        # Each check is written so that NaN fails it.
+        if not (np.all(kp >= 0) and np.all(kd >= 0)):
+            raise ValueError(f"gains must be non-negative, got kp {kp} kd {kd}")
+        if not (np.all(eta >= 0) and np.all(eta <= 1)):
             raise ValueError(f"eta {eta} outside [0, 1]")
         object.__setattr__(self, "kp", kp)
         object.__setattr__(self, "kd", kd)
@@ -87,7 +92,7 @@ class GainSchedule:
     ) -> "GainSchedule":
         """Gains realizing the target impedance: kp = M w^2, kd = 2 zeta M w."""
         m_eff = np.atleast_1d(np.asarray(m_eff, dtype=float))
-        if np.any(m_eff <= 0):
+        if not np.all(m_eff > 0):
             raise ValueError(f"effective inertia {m_eff} must be positive")
         omega_n = np.broadcast_to(np.asarray(omega_n, dtype=float), m_eff.shape)
         zeta_b = np.broadcast_to(np.asarray(zeta, dtype=float), m_eff.shape)
@@ -136,12 +141,11 @@ class JointState:
 
     q: np.ndarray
     qdot: np.ndarray
-    tau: np.ndarray
 
     @staticmethod
     def at_rest(q0: np.ndarray) -> "JointState":
         q0 = np.asarray(q0, dtype=float)
-        return JointState(q0.copy(), np.zeros_like(q0), np.zeros_like(q0))
+        return JointState(q0.copy(), np.zeros_like(q0))
 
 
 @dataclass(frozen=True)
@@ -154,8 +158,8 @@ class DecoupledLinear:
 
     def __post_init__(self) -> None:
         inertia = np.atleast_1d(np.asarray(self.inertia, dtype=float))
-        if np.any(inertia <= 0):
-            raise ValueError(f"inertia {inertia} must be positive")
+        if not _finite_positive(inertia):
+            raise ValueError(f"inertia {inertia} must be finite and positive")
         object.__setattr__(self, "inertia", inertia)
         _check_dt(self.physics_dt)
 
@@ -202,8 +206,8 @@ class PlanarChain:
         l = np.atleast_1d(np.asarray(self.lengths, dtype=float))
         if m.shape != l.shape or m.ndim != 1:
             raise ValueError("masses and lengths must be 1-d arrays of equal length")
-        if np.any(m <= 0) or np.any(l <= 0):
-            raise ValueError("masses and lengths must be positive")
+        if not (_finite_positive(m) and _finite_positive(l)):
+            raise ValueError(f"masses {m} and lengths {l} must be finite and positive")
         com = l / 2.0 if self.com is None else np.asarray(self.com, dtype=float)
         icom = (
             m * l**2 / 12.0 if self.inertia_com is None else np.asarray(self.inertia_com, dtype=float)
@@ -319,6 +323,10 @@ def plant_from_dict(d: dict) -> PlantModel:
     raise ValueError(f"unknown plant kind {kind!r}")
 
 
+def _finite_positive(x: np.ndarray) -> bool:
+    return bool(np.all(np.isfinite(x)) and np.all(x > 0))
+
+
 def _check_dt(dt: float) -> None:
     if not (0.0 < dt <= 0.1):
         raise ValueError(f"physics_dt {dt} outside (0, 0.1] s")
@@ -361,7 +369,7 @@ def step(
         raise NumericalBlowup("non-finite joint state")
     if np.any(np.abs(qdot) > QDOT_BLOWUP):
         raise NumericalBlowup(f"|qdot| exceeded {QDOT_BLOWUP:g} rad/s")
-    return JointState(q, qdot, tau)
+    return JointState(q, qdot)
 
 
 def held_joint_q(
@@ -409,11 +417,9 @@ def held_joint_q(
 Reference =Callable[[float], Union[np.ndarray, float, tuple]]
 
 
-def make_sinusoid(amplitude: float, omega: float, analytic_velocity: bool = True) -> Reference:
-    """Sinusoidal joint reference A sin(w t); optionally with velocity."""
-    if analytic_velocity:
-        return lambda t: (amplitude * math.sin(omega * t), amplitude * omega * math.cos(omega * t))
-    return lambda t: amplitude * math.sin(omega * t)
+def make_sinusoid(amplitude: float, omega: float) -> Reference:
+    """Sinusoidal joint reference A sin(w t) with its analytic velocity."""
+    return lambda t: (amplitude * math.sin(omega * t), amplitude * omega * math.cos(omega * t))
 
 
 @dataclass
@@ -425,8 +431,6 @@ class EpisodeRecord:
     qdot_target_held: np.ndarray
     q: np.ndarray
     qdot: np.ndarray
-    control_dt: float
-    physics_dt: float
 
     @property
     def n_joints(self) -> int:
@@ -439,10 +443,8 @@ def run_episode(
     reference: Reference,
     duration: float,
     control_dt: float,
-    *,
-    q0: np.ndarray | None = None,
 ) -> EpisodeRecord:
-    """Closed-loop episode with zero-order-held targets.
+    """Closed-loop episode from rest at q = 0 with zero-order-held targets.
 
     The reference callable maps time to either (q_t, qdot_t) or positions
     only; in the latter case target velocities are backward finite
@@ -468,7 +470,7 @@ def run_episode(
             return broadcast(q_t), broadcast(qd_t)
         return broadcast(out), None
 
-    state = JointState.at_rest(np.zeros(n) if q0 is None else np.asarray(q0, dtype=float))
+    state = JointState.at_rest(np.zeros(n))
     rec = {
         name: np.empty((n_steps, n))
         for name in ("q_target_held", "qdot_target_held", "q", "qdot")
@@ -494,7 +496,7 @@ def run_episode(
         rec["q"][k] = state.q
         rec["qdot"][k] = state.qdot
 
-    return EpisodeRecord(t=t_axis, control_dt=control_dt, physics_dt=dt, **rec)
+    return EpisodeRecord(t=t_axis, **rec)
 
 
 def frequency_response(gains: GainSchedule, omega: Union[float, np.ndarray]):
@@ -547,38 +549,32 @@ def max_feedforward_ratio(omega_n: float, control_dt: float) -> float:
     return 1.0 - omega_n * control_dt / 4.0
 
 
-def zoh_interval_overshoot(
-    omega_n: float,
-    eta: float,
-    control_dt: float,
-    qdot_t: float = 1.0,
-    physics_dt: float = 1e-5,
-) -> float:
+def zoh_interval_overshoot(omega_n: float, eta: float, control_dt: float) -> float:
     """Per-interval overshoot metric for zero-order-held targets.
 
-    Simulates a single hold interval for a unit-inertia joint that starts
-    at the commanded velocity, displaced behind the held target by the
-    mean ZOH deviation qdot_t * dt / 2, and returns the peak velocity
-    excess (qdot - qdot_t) / qdot_t. Positive means the feedforward drives
-    the joint beyond the commanded velocity inside one interval; the sign
-    flips at eta = 1 - omega_n * control_dt / 4. The gains are those of
-    zeta = 1 (kp = omega_n^2, kd = 2 omega_n); there is no zeta parameter.
+    Simulates a single hold interval, in 1e-5 s steps, for a unit-inertia
+    joint that starts at the commanded velocity qdot_t = 1, displaced
+    behind the held target by the mean ZOH deviation qdot_t * dt / 2, and
+    returns the peak velocity excess (qdot - qdot_t) / qdot_t. The loop is
+    linear, so any other qdot_t gives the same ratio. Positive means the
+    feedforward drives the joint beyond the commanded velocity inside one
+    interval; the sign flips at eta = 1 - omega_n * control_dt / 4. The
+    gains are those of zeta = 1 (kp = omega_n^2, kd = 2 omega_n); there is
+    no zeta parameter.
     """
-    if qdot_t <= 0:
-        raise ValueError("qdot_t must be positive")
     kp = omega_n**2
     kd = 2.0 * omega_n
-    q = -qdot_t * control_dt / 2.0  # held target is the origin
-    qdot = qdot_t
+    q = -control_dt / 2.0  # held target is the origin
+    qdot = 1.0
     worst = -np.inf
-    steps = max(1, int(round(control_dt / physics_dt)))
+    steps = max(1, int(round(control_dt / 1e-5)))
     dt = control_dt / steps
     for _ in range(steps):
-        tau = kp * (0.0 - q) - kd * qdot + eta * kd * qdot_t
+        tau = kp * (0.0 - q) - kd * qdot + eta * kd
         qdot += dt * tau
         q += dt * qdot
-        worst = max(worst, qdot - qdot_t)
-    return worst / qdot_t
+        worst = max(worst, qdot - 1.0)
+    return worst
 
 
 @dataclass
@@ -597,39 +593,36 @@ def simulate_delay_curve(
     *,
     control_dt: float = 0.02,
     wave_omega: float = 3.14,
-    amplitude: float = 0.3,
     duration: float = 12.0,
-    settle_s: float = 2.0,
-    physics_dt: float = 1e-3,
 ) -> list[DelayPoint]:
     """Measured tracking delay vs the 2 zeta (1 - eta) / omega_n prediction.
 
-    Drives one critically damped linear joint per eta with a shared
-    sinusoid reference held at the control rate, then estimates the lag
-    between the held target and the measured position by normalized
-    cross-correlation (settling transient trimmed). All etas run as one
-    batched decoupled plant. With zeta = 1 the prediction is
-    2 (1 - eta) / omega_n.
+    Drives one critically damped unit-inertia joint per eta with a shared
+    0.3 rad sinusoid reference held at the control rate, integrated at a
+    1e-3 s physics step, then estimates the lag between the held target
+    and the measured position by normalized cross-correlation after the
+    first SETTLE_S seconds. All etas run as one batched decoupled plant.
+    With zeta = 1 the prediction is 2 (1 - eta) / omega_n.
 
     The semi-implicit Euler step biases the measurement low: at the
-    default physics_dt = 1e-3 it reads about 1.2 ms under the continuous
-    loop's phase delay -arg H(jw)/w at every eta (omega_n = 10 rad/s,
-    0.02 s hold, 3.14 rad/s wave: 28.80 vs 29.96 ms at eta 0.9, 14.05 vs
-    15.21 ms at eta 1.0). At physics_dt = 2e-4 the gap shrinks to 0.23 ms.
+    1e-3 s physics step it reads about 1.2 ms under the continuous loop's
+    phase delay -arg H(jw)/w at every eta (omega_n = 10 rad/s, 0.02 s
+    hold, 3.14 rad/s wave: 28.80 vs 29.96 ms at eta 0.9, 14.05 vs 15.21 ms
+    at eta 1.0). At a 2e-4 s step the gap shrinks to 0.23 ms.
     """
     from .latency import MotionSignal, estimate_lag
 
     etas = list(etas)
     n = len(etas)
-    plant = DecoupledLinear(inertia=np.ones(n), physics_dt=physics_dt)
+    plant = DecoupledLinear(inertia=np.ones(n), physics_dt=1e-3)
     gains = GainSchedule.from_impedance(
         m_eff=np.ones(n), omega_n=omega_n, zeta=1.0, eta=np.asarray(etas, dtype=float)
     )
     record = run_episode(
-        plant, gains, make_sinusoid(amplitude, wave_omega), duration, control_dt
+        plant, gains, make_sinusoid(0.3, wave_omega), duration, control_dt
     )
-    keep = record.t >= settle_s
-    rate = 1.0 / physics_dt
+    keep = record.t >= SETTLE_S
+    rate = 1.0 / plant.physics_dt
     points = []
     theory = equivalent_delay(gains)
     for j, eta in enumerate(etas):

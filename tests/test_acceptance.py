@@ -203,7 +203,7 @@ def test_07_latency_recovered_from_rendered_views():
         delayed = _render_view(180, 60.0, true_lag, seed)
         rep = analyze_pair(ref, delayed, region_a=region, region_b=region,
                            fps=60.0, block=8, radius=6)
-        lags.append(rep.lag_s)
+        lags.append(rep.estimate.lag_s)
     err = max(abs(l - true_lag) for l in lags)
     gap = abs(lags[0] - lags[1])
     half_frame = 0.5 / 60.0

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from extremctl import fileio
 from extremctl.cli import _parse_etas, _parse_reference, main
 from extremctl.latency import MotionSignal
 from extremctl.mapping import CalibrationProfile, LinkSet, RobotModel, calibrate, map_frame
-from extremctl.pipeline import MotionSpec
+from extremctl.pipeline import MotionSpec, default_human_neutral, default_robot_model
 from extremctl.plant import GainSchedule, make_sinusoid, plant_from_dict, run_episode
 from extremctl.se3 import Pose, Rotation
 
@@ -366,6 +367,52 @@ def test_pipeline_records_eta_and_motion_and_replays_own_config(tmp_path):
     assert main(["pipeline", "--config", str(tmp_path / "replay_cfg.json"),
                  "--out", str(replay)]) == 0
     assert replay.read_bytes() == first.read_bytes()
+    assert "profile" not in report["config"]  # the default profile is not written
+
+    # A custom profile is recorded too, so its run replays as well.
+    robot = replace(default_robot_model(), pelvis_height=1.1)
+    profile = calibrate(default_human_neutral(), robot).to_dict()
+    fileio.dump_json(str(cfg), {"profile": profile, "duration_s": 4.0})
+    custom = tmp_path / "custom.json"
+    assert main(["pipeline", "--config", str(cfg), "--seed", "1", "--out", str(custom)]) == 0
+    report = fileio.load_json(str(custom))
+    assert report["config"]["profile"] == profile
+    fileio.dump_json(str(tmp_path / "replay_cfg.json"), report["config"])
+    assert main(["pipeline", "--config", str(tmp_path / "replay_cfg.json"),
+                 "--out", str(replay)]) == 0
+    assert replay.read_bytes() == custom.read_bytes()
+
+
+def test_pipeline_infinite_duration_exits_one_naming_field(tmp_path, capsys):
+    out = tmp_path / "run.json"
+    assert main(["pipeline", "--duration", "inf", "--out", str(out)]) == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ConfigInvalid" and "duration_s inf" in diag["message"]
+    assert not out.exists()
+
+
+def test_non_finite_plant_and_gain_files_exit_one_naming_value(tmp_path, capsys):
+    """Python's json reads NaN, so a NaN gain or mass reaches the
+    constructors, which refuse it before any integration runs."""
+    write_plant_inputs(tmp_path, inertia=(1.0,))
+    (tmp_path / "nan_gains.json").write_text(
+        '{"kp_nm_per_rad": [NaN], "kd_nms_per_rad": [20.0], "eta": [0.0]}'
+    )
+    rc = main(["simulate", "--plant", str(tmp_path / "plant.json"),
+               "--gains", str(tmp_path / "nan_gains.json"), "--out", str(tmp_path / "e.csv")])
+    assert rc == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ValueError" and "kp [nan]" in diag["message"]
+
+    (tmp_path / "nan_chain.json").write_text(
+        '{"kind": "planar_chain", "link_masses_kg": [NaN, 1.0], "link_lengths_m": [0.3, 0.2]}'
+    )
+    rc = main(["calibrate-gains", "--plant", str(tmp_path / "nan_chain.json"),
+               "--out", str(tmp_path / "g.json")])
+    assert rc == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ValueError" and "masses [nan" in diag["message"]
+    assert not (tmp_path / "e.csv").exists() and not (tmp_path / "g.json").exists()
 
 
 def test_pipeline_config_null_motion_runs_default_motion(tmp_path):

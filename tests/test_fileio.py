@@ -80,8 +80,9 @@ def test_frame_dir_sorted(tmp_path):
         write_pgm(tmp_path / f"{k:04d}.pgm", np.full((4, 4), fill))
     frames = read_frame_dir(tmp_path)
     assert [int(f[0, 0]) for f in frames] == [10, 20, 30]
+    (tmp_path / "empty").mkdir()
     with pytest.raises(ValueError):
-        read_frame_dir(tmp_path, pattern="*.missing")
+        read_frame_dir(tmp_path / "empty")
 
 
 def test_flow_dir_sorted(tmp_path):

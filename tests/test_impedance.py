@@ -208,8 +208,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         CalibrationConfig(omega_n=10.0, n_envs=1)
     with pytest.raises(ValueError):
-        CalibrationConfig(omega_n=10.0, kp_sample_range=(0.5, 0.4))
-    with pytest.raises(ValueError):
         CalibrationConfig(omega_n=10.0, perturbation=0.0)
 
 

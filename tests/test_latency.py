@@ -579,7 +579,7 @@ def test_analyze_pair_direct_signals():
     a = MotionSignal(wave(t), rate)
     b = MotionSignal(0.2 * wave(t - 10.0 / rate), rate)
     report = analyze_pair(a, b)
-    assert abs(report.lag_s - 10.0 / rate) < 0.5 / rate
+    assert abs(report.estimate.lag_s - 10.0 / rate) < 0.5 / rate
     assert report.source == "signals"
     assert report.signal_a.samples.std() == pytest.approx(1.0, rel=1e-9)
 
@@ -592,8 +592,8 @@ def test_analyze_pair_rendered_frames():
     report = analyze_pair(
         frames_a, frames_b, region_a=region, region_b=region, fps=fps, block=8, radius=6
     )
-    assert abs(report.lag_s - 4.0 / fps) < 0.5 / fps
-    assert report.confidence > 0.9
+    assert abs(report.estimate.lag_s - 4.0 / fps) < 0.5 / fps
+    assert report.estimate.confidence > 0.9
     assert report.source == "frames"
 
 

@@ -1,35 +1,22 @@
 """End-to-end harness: seeded determinism, transport bookkeeping,
-latency accounting, config validation, and the UDP integration path."""
+latency accounting and config validation."""
 
-import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from extremctl.mapping import LINKS, LinkSet
 from extremctl.pipeline import (
     ConfigInvalid,
     InsufficientPoints,
     MotionSpec,
     PipelineConfig,
-    UdpLink,
     fit_latency_line,
     latency_budget,
     run_pipeline,
     run_pipeline_sweep,
 )
 from extremctl.plant import NumericalBlowup
-from extremctl.se3 import Pose, Rotation
-from extremctl.wire import LatestValueMailbox, PoseFrame
-
-
-def random_frame(rng, seq=0, timestamp_ns=0):
-    poses = {}
-    for name in LINKS:
-        vec = rng.normal(size=4)
-        poses[name] = Pose(Rotation(vec / np.linalg.norm(vec)), rng.normal(size=3))
-    return PoseFrame(seq=seq, timestamp_ns=timestamp_ns, links=LinkSet(**poses))
 
 
 def test_same_seed_same_run():
@@ -128,6 +115,30 @@ def test_config_validation():
         PipelineConfig(eta=1.5)
     with pytest.raises(ConfigInvalid):
         PipelineConfig(network_delay_s=-0.1)
+    with pytest.raises(ConfigInvalid, match="zeta -1.0 must be non-negative"):
+        PipelineConfig(zeta=-1.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("capture_rate_hz", float("inf")),
+        ("control_rate_hz", float("nan")),
+        ("network_delay_s", float("nan")),
+        ("jitter_std_s", float("inf")),
+        ("drop_prob", float("nan")),
+        ("duration_s", float("inf")),
+        ("omega_n", float("inf")),
+        ("zeta", float("nan")),
+        ("eta", float("nan")),
+        ("plant_inertia", float("nan")),
+        ("target_scale", float("nan")),
+        ("target_scale", None),
+    ],
+)
+def test_config_refuses_non_finite_field_naming_it(field, value):
+    with pytest.raises(ConfigInvalid, match=f"^{field} {value!r} must be a finite number"):
+        PipelineConfig(**{field: value})
 
 
 def test_config_round_trip():
@@ -145,6 +156,14 @@ def test_motion_spec_validation():
         MotionSpec(amplitude_m=0.0)
     with pytest.raises(ValueError):
         MotionSpec(axis=3)
+    with pytest.raises(ValueError, match="link 'foo' not one of"):
+        MotionSpec(link="foo")
+    for field in ("amplitude_m", "frequency_hz"):
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"^{field} {value!r} must be a finite number"):
+                MotionSpec(**{field: value})
+    with pytest.raises(ValueError, match="link 'foo'"):
+        PipelineConfig.from_dict({"motion": {"link": "foo"}})
 
 
 def test_fit_line_recovers_exact_relation():
@@ -157,20 +176,3 @@ def test_fit_line_recovers_exact_relation():
         fit_latency_line([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         fit_latency_line([1.0, 2.0, 3.0], [1.0, 2.0])
-
-
-def test_udp_loopback_delivers_newest():
-    rng = np.random.default_rng(0)
-    with UdpLink() as link:
-        box = LatestValueMailbox()
-        link.send(random_frame(rng, seq=1, timestamp_ns=111))
-        link.send(random_frame(rng, seq=2, timestamp_ns=222))
-        deadline = time.time() + 2.0
-        drained = 0
-        while drained < 2 and time.time() < deadline:
-            drained += link.drain_into(box)
-            time.sleep(0.01)
-        assert drained == 2
-        got = box.read(now_ns=1000)
-        assert got.frame.seq == 2
-        assert got.staleness_ns == 1000 - 222
