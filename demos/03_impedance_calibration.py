@@ -6,7 +6,7 @@ oscillator identity for the effective inertia, and synthesize PD gains
 for the target closed-loop response. Done distal to proximal so each
 joint is tuned before it has to serve as the base for the next.
 
-Run:  python3 demos/03_impedance_calibration.py   (~20 s)
+Run:  python3 demos/03_impedance_calibration.py   (~3 s)
 """
 
 import numpy as np

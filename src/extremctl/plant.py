@@ -198,8 +198,9 @@ class PlanarChain:
 
     # precomputed coefficient tables (set in __post_init__)
     _beta: np.ndarray = field(init=False, repr=False, compare=False)
-    _inertia_diag: np.ndarray = field(init=False, repr=False, compare=False)
+    _inertia_mat: np.ndarray = field(init=False, repr=False, compare=False)
     _gamma: np.ndarray = field(init=False, repr=False, compare=False)
+    _lower: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = np.atleast_1d(np.asarray(self.masses, dtype=float))
@@ -230,8 +231,10 @@ class PlanarChain:
         beta = np.einsum("i,ij,ik->jk", m, arm, arm)
         gamma = np.einsum("i,ij->j", m, arm)  # gravity lever sums
         object.__setattr__(self, "_beta", beta)
-        object.__setattr__(self, "_inertia_diag", icom)
+        object.__setattr__(self, "_inertia_mat", np.diag(icom))
         object.__setattr__(self, "_gamma", gamma)
+        # th = L q with L lower ones; L^T is a reverse cumulative sum.
+        object.__setattr__(self, "_lower", np.tril(np.ones((n, n))))
 
     @property
     def n_joints(self) -> int:
@@ -241,8 +244,7 @@ class PlanarChain:
         th = np.cumsum(q, axis=-1)
         thd = np.cumsum(qdot, axis=-1)
         diff = th[..., :, None] - th[..., None, :]
-        mass = self._beta * np.cos(diff)
-        mass[..., np.arange(self.n_joints), np.arange(self.n_joints)] += self._inertia_diag
+        mass = self._beta * np.cos(diff) + self._inertia_mat
         return th, thd, mass, diff
 
     def accel(self, q: np.ndarray, qdot: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -264,12 +266,23 @@ class PlanarChain:
         qdd[..., 1:] -= thdd[..., :-1]
         return qdd
 
+    def joint_terms(self, q: np.ndarray, qdot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Joint-space mass matrix and bias torque from one evaluation.
+
+        Returns (M, h) with M = L^T M_theta L and h = L^T (c + g), where c
+        and g are the Coriolis/centrifugal and gravity terms in absolute
+        angles and L is lower ones, so M q_dd = tau - h. Batched like accel.
+        """
+        th, thd, mass, diff = self._theta_terms(q, qdot)
+        bias = np.einsum("...jk,...k->...j", self._beta * np.sin(diff), thd**2)
+        bias = bias + self.gravity * self._gamma * np.cos(th)
+        lower = self._lower
+        return lower.T @ mass @ lower, bias[..., ::-1].cumsum(axis=-1)[..., ::-1]
+
     def mass_matrix(self, q: np.ndarray) -> np.ndarray:
         """Joint-space mass matrix M(q) = L^T M_theta L (L = lower ones)."""
-        n = self.n_joints
-        _, _, mass, _ = self._theta_terms(np.asarray(q, dtype=float), np.zeros(n))
-        lower = np.tril(np.ones((n, n)))
-        return lower.T @ mass @ lower
+        q = np.asarray(q, dtype=float)
+        return self.joint_terms(q, np.zeros_like(q))[0]
 
     def energy(self, q: np.ndarray, qdot: np.ndarray) -> float:
         """Total mechanical energy (kinetic + gravity potential), joules."""
@@ -325,6 +338,13 @@ def plant_from_dict(d: dict) -> PlantModel:
 
 def _finite_positive(x: np.ndarray) -> bool:
     return bool(np.all(np.isfinite(x)) and np.all(x > 0))
+
+
+def _check_finite_positive(**values: float) -> None:
+    for name, value in values.items():
+        # Comparisons with NaN are False, so NaN fails too.
+        if not (0.0 < value < math.inf):
+            raise ValueError(f"{name} {value} must be finite and positive")
 
 
 def _check_dt(dt: float) -> None:
@@ -452,6 +472,7 @@ def run_episode(
     all a deployed target stream can offer. control_dt must be an integer
     multiple of the plant's physics step.
     """
+    _check_finite_positive(duration=duration, control_dt=control_dt)
     n = plant.n_joints
     dt = plant.physics_dt
     substeps = control_dt / dt
@@ -612,6 +633,8 @@ def simulate_delay_curve(
     """
     from .latency import MotionSignal, estimate_lag
 
+    # run_episode checks duration and control_dt.
+    _check_finite_positive(omega_n=omega_n, wave_omega=wave_omega)
     etas = list(etas)
     n = len(etas)
     plant = DecoupledLinear(inertia=np.ones(n), physics_dt=1e-3)

@@ -415,6 +415,47 @@ def test_non_finite_plant_and_gain_files_exit_one_naming_value(tmp_path, capsys)
     assert not (tmp_path / "e.csv").exists() and not (tmp_path / "g.json").exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_calibrate_gains_non_finite_omega_n_exits_one_naming_value(tmp_path, capsys, value):
+    write_plant_inputs(tmp_path, inertia=(1.0,))
+    out = tmp_path / "g.json"
+    rc = main(["calibrate-gains", "--plant", str(tmp_path / "plant.json"),
+               "--omega-n", value, "--out", str(out)])
+    assert rc == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ValueError" and f"omega_n {value}" in diag["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [("--duration", "inf", "duration inf"), ("--duration", "nan", "duration nan"),
+     ("--control-dt", "nan", "control_dt nan")],
+)
+def test_simulate_non_finite_timing_exits_one_naming_parameter(tmp_path, capsys, flag, value, named):
+    write_plant_inputs(tmp_path, inertia=(1.0,))
+    out = tmp_path / "e.csv"
+    rc = main(["simulate", "--plant", str(tmp_path / "plant.json"),
+               "--gains", str(tmp_path / "gains.json"), flag, value, "--out", str(out)])
+    assert rc == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ValueError" and named in diag["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [("--duration", "inf", "duration inf"), ("--omega-n", "nan", "omega_n nan"),
+     ("--wave-omega", "nan", "wave_omega nan"), ("--control-dt", "inf", "control_dt inf")],
+)
+def test_delay_curve_non_finite_value_exits_one_naming_parameter(tmp_path, capsys, flag, value, named):
+    out = tmp_path / "c.csv"
+    assert main(["delay-curve", flag, value, "--out", str(out)]) == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ValueError" and named in diag["message"]
+    assert not out.exists()
+
+
 def test_pipeline_config_null_motion_runs_default_motion(tmp_path):
     """"motion": null reads like an absent key, as "profile": null does."""
     cfg = tmp_path / "cfg.json"

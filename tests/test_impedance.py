@@ -161,6 +161,45 @@ def test_frequency_scaling_through_the_full_pipeline():
     assert np.all(np.abs(ratio - 2.25) < 1e-4)
 
 
+def test_chain_kp_pinned_to_recorded_values():
+    """One sweep on the four-link acceptance chain, seed 1, against
+    values recorded from a substep that solved for the free acceleration
+    and then for the damped velocity. One solve reorders the sums, so
+    only the last bits may move."""
+    chain = PlanarChain(
+        masses=np.array([3.0, 0.3, 0.03, 0.003]),
+        lengths=np.array([0.35, 0.16, 0.07, 0.032]),
+        physics_dt=1e-3,
+    )
+    cal = calibrate_chain(chain, CalibrationConfig(omega_n=10.0, sweeps=1), seed=1)
+    recorded = [18.76904680145245, 0.3931348306185615, 0.008067764502648855, 9.866566645123763e-05]
+    np.testing.assert_allclose(cal.gains.kp, recorded, rtol=1e-12, atol=0)
+
+
+def test_chain_probe_evaluates_dynamics_once_per_substep(monkeypatch):
+    chain = PlanarChain(masses=np.array([1.5, 0.4]), lengths=np.array([0.30, 0.20]))
+    gains = GainSchedule(kp=np.array([60.0, 25.0]), kd=np.array([12.0, 0.0]), eta=np.zeros(2))
+    calls = {"joint_terms": 0, "mass_matrix": 0, "accel": 0, "solve": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("joint_terms", "mass_matrix", "accel"):
+        counting(PlanarChain, name)
+    counting(np.linalg, "solve")
+    measure_period(chain, gains, 1, window=2.0)
+    assert calls["accel"] == 0
+    assert calls["solve"] > 0
+    # mass_matrix (the substep-size bound at q0) is the only other evaluation.
+    assert calls["joint_terms"] == calls["solve"] + calls["mass_matrix"]
+
+
 def test_chain_calibration_independent_of_init():
     """Two unrelated random initializations on a four-link chain with
     well-separated link inertias land on the same gains."""
@@ -209,6 +248,16 @@ def test_config_validation():
         CalibrationConfig(omega_n=10.0, n_envs=1)
     with pytest.raises(ValueError):
         CalibrationConfig(omega_n=10.0, perturbation=0.0)
+
+
+@pytest.mark.parametrize(
+    "name", ["omega_n", "zeta", "perturbation", "measure_window", "convergence_tol"]
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_config_refuses_non_finite_field_naming_it(name, bad):
+    fields = {"omega_n": 10.0, name: bad}
+    with pytest.raises(ValueError, match=f"{name} {bad}"):
+        CalibrationConfig(**fields)
 
 
 def test_rejects_nonpositive_initial_kp():

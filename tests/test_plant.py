@@ -189,6 +189,30 @@ def test_chain_matches_textbook_two_link():
         assert np.abs(chain.accel(q, qd, tau) - qdd_ref).max() < 1e-9
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_joint_terms_give_the_free_drift_momentum(n):
+    """M qdot - dt h equals M (qdot + dt accel(q, qdot, 0)) on batched
+    states, with gravity and explicit com offsets and inertias."""
+    rng = np.random.default_rng(11 + n)
+    chain = PlanarChain(
+        masses=rng.uniform(0.2, 3.0, n),
+        lengths=rng.uniform(0.1, 0.5, n),
+        com=rng.uniform(0.03, 0.1, n),
+        inertia_com=rng.uniform(0.001, 0.05, n),
+        gravity=9.81,
+    )
+    q = rng.uniform(-np.pi, np.pi, (8, n))
+    qd = rng.uniform(-3.0, 3.0, (8, n))
+    dt = 1e-3
+    mass, bias = chain.joint_terms(q, qd)
+    assert mass.shape == (8, n, n) and bias.shape == (8, n)
+    assert np.array_equal(mass, chain.mass_matrix(q))
+    got = (mass @ qd[..., None])[..., 0] - dt * bias
+    drift = qd + dt * chain.accel(q, qd, np.zeros((8, n)))
+    want = (chain.mass_matrix(q) @ drift[..., None])[..., 0]
+    assert np.abs(got - want).max() / np.abs(want).max() <= 1e-12
+
+
 def test_chain_mass_matrix_spd():
     chain = PlanarChain(
         masses=np.array([2.0, 1.0, 0.5]), lengths=np.array([0.4, 0.3, 0.2])
@@ -292,6 +316,18 @@ def test_control_dt_must_divide_into_physics_steps():
     plant = DecoupledLinear(inertia=np.array([1.0]))
     with pytest.raises(ValueError):
         run_episode(plant, unit_gains(), lambda t: (0.0, 0.0), 1.0, 0.0015)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_episode_refuses_non_finite_or_non_positive_timing(bad):
+    plant = DecoupledLinear(inertia=np.array([1.0]))
+    with pytest.raises(ValueError, match=f"duration {bad}"):
+        run_episode(plant, unit_gains(), lambda t: (0.0, 0.0), bad, 0.02)
+    with pytest.raises(ValueError, match=f"control_dt {bad}"):
+        run_episode(plant, unit_gains(), lambda t: (0.0, 0.0), 1.0, bad)
+    for name in ("omega_n", "wave_omega", "duration", "control_dt"):
+        with pytest.raises(ValueError, match=f"{name} {bad}"):
+            simulate_delay_curve(**{"omega_n": 10.0, "etas": [0.0], name: bad})
 
 
 def test_episode_record_shapes():
