@@ -25,7 +25,6 @@ from .plant import (
     EpisodeRecord,
     GainSchedule,
     Infeasible,
-    JointState,
     NumericalBlowup,
     PlanarChain,
     actuator_torque,
@@ -48,7 +47,6 @@ from .impedance import (
     calibrate_chain,
     estimate_meff,
     measure_period,
-    update_gains,
 )
 from .latency import (
     ConstantSignal,

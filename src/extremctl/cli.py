@@ -387,7 +387,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return _HANDLERS[args.command](args)
-    except (ExtremControlError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ExtremControlError, ValueError, KeyError, OSError, MemoryError) as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True) + "\n"
         )

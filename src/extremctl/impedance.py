@@ -44,7 +44,8 @@ class NoOscillation(ExtremControlError):
     """Fewer than 3 zero crossings in the measurement window.
 
     Signals overdamped coupling, a too-small perturbation, or a window
-    shorter than the oscillation period.
+    shorter than the oscillation period. Also raised when a held chain's
+    rest pose under gravity cannot be found to release from.
     """
 
 
@@ -127,14 +128,6 @@ def estimate_meff(kp_sample, period):
     return np.asarray(kp_sample, dtype=float) * period**2 / TWO_PI**2
 
 
-def update_gains(m_bar, omega_n: float, zeta: float = 1.0):
-    """PD gains realizing the target impedance on inertia m_bar."""
-    m_bar = np.asarray(m_bar, dtype=float)
-    if np.any(m_bar <= 0):
-        raise ValueError("effective inertia must be positive")
-    return m_bar * omega_n**2, 2.0 * zeta * m_bar * omega_n
-
-
 def _crossing_periods(z: np.ndarray, dt: float) -> tuple[int, np.ndarray]:
     """Zero-crossing count and same-direction periods of one trace.
 
@@ -176,8 +169,10 @@ def _measure_periods_batched(
     """Release-from-rest periods for one joint across E environments.
 
     The target joint runs spring-only at the sampled stiffness; every other
-    joint stays under its current full PD loop holding q0. Returns one
-    period per environment.
+    joint stays under its current full PD loop holding q0. Under gravity
+    the held chain sags, so each environment is released from its own
+    static equilibrium and oscillates about it. Returns one period per
+    environment.
     """
     n = plant.n_joints
     n_envs = kp_samples.shape[0]
@@ -204,6 +199,9 @@ def _measure_periods_batched(
     dt_sub = dt / substeps
 
     q = np.tile(q0, (n_envs, 1))
+    if is_chain and plant.gravity != 0.0:
+        q = _held_equilibrium(plant, kp, q, joint)
+    q_eq = q[:, joint].copy()
     q[:, joint] += dq
     qdot = np.zeros((n_envs, n))
     # Loop invariants: the implicit damping term of each substep's solve.
@@ -229,7 +227,7 @@ def _measure_periods_batched(
             else:
                 qdot = (plant.inertia * qdot + dt_sub * tau_s) / damped_inertia
             q = q + dt_sub * qdot
-        trace[k + 1] = q[:, joint] - q0[joint]
+        trace[k + 1] = q[:, joint] - q_eq
         done = k + 2
         if k % 200 == 199:
             if not np.all(np.isfinite(q)) or np.any(np.abs(qdot) > QDOT_BLOWUP):
@@ -252,6 +250,20 @@ def _measure_periods_batched(
     return periods
 
 
+def _held_equilibrium(
+    plant: PlanarChain, kp: np.ndarray, q0: np.ndarray, joint: int
+) -> np.ndarray:
+    """Rest pose kp (q0 - q) = h(q, 0) of a chain held about q0 under gravity,
+    by the fixed point q <- q0 - h(q, 0) / kp to 1e-12 rad in 1000 steps."""
+    q, zero = q0, np.zeros_like(q0)
+    for _ in range(1000):
+        q_next = q0 - plant.joint_terms(q, zero)[1] / kp
+        if np.all(np.abs(q_next - q) <= 1e-12):  # NaN fails it
+            return q_next
+        q = q_next
+    raise NoOscillation(f"joint {joint}: held chain's equilibrium under gravity did not converge")
+
+
 def measure_period(
     plant: PlantModel,
     gains: GainSchedule,
@@ -261,7 +273,8 @@ def measure_period(
     """Free-oscillation period of one joint, damping removed.
 
     The joint is released 0.05 rad from the zero configuration, which the
-    other joints hold. Its kd is zeroed internally; gains already carrying
+    other joints hold (under gravity, from the held chain's sagged rest
+    pose). Its kd is zeroed internally; gains already carrying
     kd = 0 on the target joint pass through unchanged. Raises NoOscillation
     when the window captures fewer than 3 zero crossings.
     """
@@ -290,7 +303,8 @@ def calibrate_chain(
     """Sequential distal-to-proximal impedance calibration.
 
     Each sweep measures every joint once: zero its kd, release it
-    config.perturbation from the zero configuration, observe oscillation
+    config.perturbation from the zero configuration (under gravity, from
+    the held chain's sagged rest pose), observe oscillation
     periods across n_envs environments with probe stiffness drawn from
     KP_SAMPLE_RANGE times the joint's current kp, average the resulting
     inertias, and refresh (kp, kd) in place so later (more proximal)
@@ -341,8 +355,8 @@ def calibrate_chain(
             )
             m_samples = estimate_meff(kp_samples, periods)
             m_bar = float(np.mean(m_samples))
-            kp_j, kd_j = update_gains(m_bar, config.omega_n, config.zeta)
-            kp[j], kd[j] = float(kp_j), float(kd_j)
+            synth = GainSchedule.from_impedance(m_bar, config.omega_n, config.zeta)
+            kp[j], kd[j] = float(synth.kp[0]), float(synth.kd[0])
             estimates[j] = ImpedanceEstimate(
                 joint=j,
                 kp_samples=kp_samples,

@@ -135,26 +135,12 @@ class GainSchedule:
         )
 
 
-@dataclass
-class JointState:
-    """Joint-space state arrays, shape (..., n_joints)."""
-
-    q: np.ndarray
-    qdot: np.ndarray
-
-    @staticmethod
-    def at_rest(q0: np.ndarray) -> "JointState":
-        q0 = np.asarray(q0, dtype=float)
-        return JointState(q0.copy(), np.zeros_like(q0))
-
-
 @dataclass(frozen=True)
 class DecoupledLinear:
     """Independent double-integrator joints: q_dd = tau / inertia."""
 
     inertia: np.ndarray  # kg*m^2 per joint
     physics_dt: float = 1e-3
-    joint_limits: np.ndarray | None = None  # (n, 2) rad, optional clamp
 
     def __post_init__(self) -> None:
         inertia = np.atleast_1d(np.asarray(self.inertia, dtype=float))
@@ -171,11 +157,8 @@ class DecoupledLinear:
         return tau / self.inertia
 
     def to_dict(self) -> dict:
-        d = {"kind": "decoupled_linear", "inertia_kg_m2": self.inertia.tolist(),
-             "physics_dt_s": self.physics_dt}
-        if self.joint_limits is not None:
-            d["joint_limits_rad"] = np.asarray(self.joint_limits).tolist()
-        return d
+        return {"kind": "decoupled_linear", "inertia_kg_m2": self.inertia.tolist(),
+                "physics_dt_s": self.physics_dt}
 
 
 @dataclass(frozen=True)
@@ -194,7 +177,6 @@ class PlanarChain:
     inertia_com: np.ndarray | None = None  # kg*m^2 about the com, default rod
     gravity: float = 0.0
     physics_dt: float = 1e-3
-    joint_limits: np.ndarray | None = None
 
     # precomputed coefficient tables (set in __post_init__)
     _beta: np.ndarray = field(init=False, repr=False, compare=False)
@@ -292,7 +274,7 @@ class PlanarChain:
         return kinetic + potential
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "kind": "planar_chain",
             "link_masses_kg": self.masses.tolist(),
             "link_lengths_m": self.lengths.tolist(),
@@ -301,39 +283,42 @@ class PlanarChain:
             "gravity_m_s2": self.gravity,
             "physics_dt_s": self.physics_dt,
         }
-        if self.joint_limits is not None:
-            d["joint_limits_rad"] = np.asarray(self.joint_limits).tolist()
-        return d
 
 
 PlantModel = Union[DecoupledLinear, PlanarChain]
 
+# The keys each kind's to_dict writes; a plant file may hold no others.
+_PLANT_KEYS = {
+    "decoupled_linear": {"kind", "inertia_kg_m2", "physics_dt_s"},
+    "planar_chain": {"kind", "link_masses_kg", "link_lengths_m", "com_m",
+                     "inertia_com_kg_m2", "gravity_m_s2", "physics_dt_s"},
+}
+
 
 def plant_from_dict(d: dict) -> PlantModel:
+    """Plant from its to_dict form; a key to_dict does not write is refused
+    by name, so a misspelt field never runs as its default."""
     kind = d.get("kind")
+    if kind not in _PLANT_KEYS:
+        raise ValueError(f"unknown plant kind {kind!r}")
+    unknown = sorted(set(d) - _PLANT_KEYS[kind])
+    if unknown:
+        raise ValueError(f"{kind} plant: unknown key {', '.join(map(repr, unknown))}")
     if kind == "decoupled_linear":
         return DecoupledLinear(
             inertia=np.asarray(d["inertia_kg_m2"], dtype=float),
             physics_dt=float(d.get("physics_dt_s", 1e-3)),
-            joint_limits=np.asarray(d["joint_limits_rad"], dtype=float)
-            if "joint_limits_rad" in d
-            else None,
         )
-    if kind == "planar_chain":
-        return PlanarChain(
-            masses=np.asarray(d["link_masses_kg"], dtype=float),
-            lengths=np.asarray(d["link_lengths_m"], dtype=float),
-            com=np.asarray(d["com_m"], dtype=float) if "com_m" in d else None,
-            inertia_com=np.asarray(d["inertia_com_kg_m2"], dtype=float)
-            if "inertia_com_kg_m2" in d
-            else None,
-            gravity=float(d.get("gravity_m_s2", 0.0)),
-            physics_dt=float(d.get("physics_dt_s", 1e-3)),
-            joint_limits=np.asarray(d["joint_limits_rad"], dtype=float)
-            if "joint_limits_rad" in d
-            else None,
-        )
-    raise ValueError(f"unknown plant kind {kind!r}")
+    return PlanarChain(
+        masses=np.asarray(d["link_masses_kg"], dtype=float),
+        lengths=np.asarray(d["link_lengths_m"], dtype=float),
+        com=np.asarray(d["com_m"], dtype=float) if "com_m" in d else None,
+        inertia_com=np.asarray(d["inertia_com_kg_m2"], dtype=float)
+        if "inertia_com_kg_m2" in d
+        else None,
+        gravity=float(d.get("gravity_m_s2", 0.0)),
+        physics_dt=float(d.get("physics_dt_s", 1e-3)),
+    )
 
 
 def _finite_positive(x: np.ndarray) -> bool:
@@ -353,10 +338,10 @@ def _check_dt(dt: float) -> None:
 
 
 def actuator_torque(
-    state: JointState, q_t: np.ndarray, qdot_t: np.ndarray, gains: GainSchedule
+    q: np.ndarray, qdot: np.ndarray, q_t: np.ndarray, qdot_t: np.ndarray, gains: GainSchedule
 ) -> np.ndarray:
     """PD torque with per-joint velocity feedforward."""
-    tau = gains.kp * (q_t - state.q) - gains.kd * state.qdot
+    tau = gains.kp * (q_t - q) - gains.kd * qdot
     eta = gains.eta
     if np.any(eta != 0.0):
         tau = tau + eta * gains.kd * qdot_t
@@ -365,31 +350,26 @@ def actuator_torque(
 
 def step(
     plant: PlantModel,
-    state: JointState,
+    q: np.ndarray,
+    qdot: np.ndarray,
     q_t: np.ndarray,
     qdot_t: np.ndarray,
     gains: GainSchedule,
-) -> JointState:
-    """One semi-implicit Euler step at the plant's physics rate.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One semi-implicit Euler step at the plant's physics rate: (q, qdot).
 
     Velocity updates from the acceleration first, position from the new
     velocity. Raises NumericalBlowup on non-finite state or runaway
-    velocity; optional joint limits clamp position and zero velocity.
+    velocity.
     """
-    tau = actuator_torque(state, q_t, qdot_t, gains)
-    qdd = plant.accel(state.q, state.qdot, tau)
-    qdot = state.qdot + plant.physics_dt * qdd
-    q = state.q + plant.physics_dt * qdot
-    if plant.joint_limits is not None:
-        lo, hi = plant.joint_limits[..., 0], plant.joint_limits[..., 1]
-        clipped = np.clip(q, lo, hi)
-        qdot = np.where(clipped != q, 0.0, qdot)
-        q = clipped
+    tau = actuator_torque(q, qdot, q_t, qdot_t, gains)
+    qdot = qdot + plant.physics_dt * plant.accel(q, qdot, tau)
+    q = q + plant.physics_dt * qdot
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qdot))):
         raise NumericalBlowup("non-finite joint state")
     if np.any(np.abs(qdot) > QDOT_BLOWUP):
         raise NumericalBlowup(f"|qdot| exceeded {QDOT_BLOWUP:g} rad/s")
-    return JointState(q, qdot)
+    return q, qdot
 
 
 def held_joint_q(
@@ -407,10 +387,10 @@ def held_joint_q(
     is `step` on Python floats instead of 1-element arrays: the same
     operations in the same order, so q[k] equals what a `step` loop gives
     bit for bit, with the same NumericalBlowup checks after every step.
-    Takes a one-joint plant without joint limits.
+    Takes a one-joint plant.
     """
-    if plant.n_joints != 1 or gains.n_joints != 1 or plant.joint_limits is not None:
-        raise ValueError("held_joint_q takes one joint without joint limits")
+    if plant.n_joints != 1 or gains.n_joints != 1:
+        raise ValueError("held_joint_q takes one joint")
     inertia, dt = float(plant.inertia[0]), plant.physics_dt
     kp, kd, eta = float(gains.kp[0]), float(gains.kd[0]), float(gains.eta[0])
     bound, inf = QDOT_BLOWUP, math.inf
@@ -491,7 +471,7 @@ def run_episode(
             return broadcast(q_t), broadcast(qd_t)
         return broadcast(out), None
 
-    state = JointState.at_rest(np.zeros(n))
+    q = qdot = np.zeros(n)
     rec = {
         name: np.empty((n_steps, n))
         for name in ("q_target_held", "qdot_target_held", "q", "qdot")
@@ -510,12 +490,12 @@ def run_episode(
                 )
             prev_held_q = q_t
             held_q, held_qd = q_t, qd_t
-        state = step(plant, state, held_q, held_qd, gains)
+        q, qdot = step(plant, q, qdot, held_q, held_qd, gains)
         t_axis[k] = t + dt
         rec["q_target_held"][k] = held_q
         rec["qdot_target_held"][k] = held_qd
-        rec["q"][k] = state.q
-        rec["qdot"][k] = state.qdot
+        rec["q"][k] = q
+        rec["qdot"][k] = qdot
 
     return EpisodeRecord(t=t_axis, **rec)
 
@@ -633,8 +613,10 @@ def simulate_delay_curve(
     """
     from .latency import MotionSignal, estimate_lag
 
-    # run_episode checks duration and control_dt.
+    # run_episode checks duration and control_dt for finiteness.
     _check_finite_positive(omega_n=omega_n, wave_omega=wave_omega)
+    if duration < SETTLE_S + 1.0:  # estimate_lag's 1 s min_overlap_s after the trim
+        raise ValueError(f"duration {duration} s leaves under 1 s after the {SETTLE_S} s settle trim")
     etas = list(etas)
     n = len(etas)
     plant = DecoupledLinear(inertia=np.ones(n), physics_dt=1e-3)

@@ -456,6 +456,48 @@ def test_delay_curve_non_finite_value_exits_one_naming_parameter(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("duration", ["0.5", "2.5", "2.99"])
+def test_delay_curve_too_short_to_measure_exits_one_naming_trim(tmp_path, capsys, duration):
+    out = tmp_path / "c.csv"
+    assert main(["delay-curve", "--duration", duration, "--out", str(out)]) == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ValueError"
+    assert f"duration {duration} s" in diag["message"] and "2.0 s settle trim" in diag["message"]
+    assert not out.exists()
+    assert main(["delay-curve", "--etas", "0.5", "--duration", "3.0", "--out", str(out)]) == 0
+
+
+def test_simulate_unallocatable_duration_exits_one_without_traceback(tmp_path, capsys):
+    write_plant_inputs(tmp_path, inertia=(1.0,))
+    out = tmp_path / "e.csv"
+    rc = main(["simulate", "--plant", str(tmp_path / "plant.json"),
+               "--gains", str(tmp_path / "gains.json"), "--duration", "1e12", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and json.loads(err)["error"].endswith("MemoryError")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "calibrate-gains"])
+@pytest.mark.parametrize(
+    "key, value, plant",
+    [("joint_limits_rad", [[-0.5, 0.5]], {"kind": "decoupled_linear", "inertia_kg_m2": [1.0]}),
+     ("gravity", 9.81, {"kind": "planar_chain", "link_masses_kg": [1.0], "link_lengths_m": [0.3]})],
+    ids=["joint_limits_rad", "gravity"],
+)
+def test_plant_file_unknown_key_exits_one_naming_it(tmp_path, capsys, command, key, value, plant):
+    write_plant_inputs(tmp_path, inertia=(1.0,))
+    fileio.dump_json(str(tmp_path / "plant.json"), {**plant, key: value})
+    out = tmp_path / "out"
+    argv = [command, "--plant", str(tmp_path / "plant.json"), "--out", str(out)]
+    if command == "simulate":
+        argv += ["--gains", str(tmp_path / "gains.json")]
+    assert main(argv) == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ValueError" and f"unknown key '{key}'" in diag["message"]
+    assert not out.exists()
+
+
 def test_pipeline_config_null_motion_runs_default_motion(tmp_path):
     """"motion": null reads like an absent key, as "profile": null does."""
     cfg = tmp_path / "cfg.json"

@@ -15,7 +15,6 @@ from extremctl.impedance import (
     estimate_meff,
     joint_order,
     measure_period,
-    update_gains,
 )
 from extremctl.plant import DecoupledLinear, GainSchedule, PlanarChain
 
@@ -35,26 +34,6 @@ def test_estimate_meff_worked_values():
     assert estimate_meff(100.0, 0.2) == pytest.approx(0.101321, abs=1e-6)
     with pytest.raises(ValueError):
         estimate_meff(100.0, 0.0)
-
-
-def test_update_gains_worked_values():
-    kp, kd = update_gains(1.0, 10.0, 1.0)
-    assert kp == 100.0 and kd == 20.0
-    assert update_gains(1.0, 0.0) == (0.0, 0.0)
-    # quadratic / linear scaling in the target frequency, exactly
-    kp2, kd2 = update_gains(1.0, 20.0, 1.0)
-    assert kp2 / kp == 4.0 and kd2 / kd == 2.0
-    with pytest.raises(ValueError):
-        update_gains(0.0, 10.0)
-
-
-def test_update_gains_frequency_ratio_is_exact():
-    # Same inertia estimate, two target frequencies: the kp ratio is a
-    # pure number and must not pick up float noise.
-    for m_bar in (0.37, 1.0, 12.9):
-        hi, _ = update_gains(m_bar, 15.0)
-        lo, _ = update_gains(m_bar, 10.0)
-        assert float(hi / lo) == 2.25
 
 
 # -------------------------------------------------------- period measurement
@@ -94,6 +73,32 @@ def test_measure_period_locked_proximal_limit():
     expected = 2.0 * math.pi * math.sqrt(i_pivot / 25.0)
     period = measure_period(chain, gains, 1, window=5.0)
     assert abs(period - expected) / expected < 0.05
+
+
+def test_measure_period_gravity_pendulum_swings_about_its_sag():
+    """A held rod under gravity sags to kp q_eq = -g m c cos(q_eq) and
+    swings about q_eq with the linearized period 2 pi sqrt(I / (kp + h')),
+    h' = -g m c sin(q_eq) the gravity stiffness there."""
+    m, length, g, kp = 1.0, 0.3, 9.81, 4.0
+    chain = PlanarChain(masses=np.array([m]), lengths=np.array([length]), gravity=g)
+    gains = GainSchedule(kp=np.array([kp]), kd=np.array([0.0]), eta=np.array([0.0]))
+    mgc = g * m * length / 2.0
+    q_eq = 0.0
+    for _ in range(50):  # Newton on kp q + m g c cos(q) = 0
+        q_eq -= (kp * q_eq + mgc * math.cos(q_eq)) / (kp - mgc * math.sin(q_eq))
+    assert q_eq < -0.3
+    stiffness = kp - mgc * math.sin(q_eq)
+    expected = 2.0 * math.pi * math.sqrt(m * length**2 / 3.0 / stiffness)
+    period = measure_period(chain, gains, 0)
+    assert abs(period - expected) / expected < 1e-3
+    # Gravity stiffness beyond kp: the fixed point diverges, named by joint.
+    weak = GainSchedule(kp=np.array([0.5]), kd=np.array([0.0]), eta=np.array([0.0]))
+    with pytest.raises(NoOscillation, match="joint 0: .*equilibrium"):
+        measure_period(chain, weak, 0)
+    # The two-link chain sags ~0.3 rad, far beyond the 0.05 rad release.
+    two = PlanarChain(masses=np.array([1.0, 0.3]), lengths=np.array([0.3, 0.2]), gravity=g)
+    cal = calibrate_chain(two, CalibrationConfig(omega_n=10.0, sweeps=1, n_envs=2), seed=0)
+    assert np.all(cal.gains.kp > 0)
 
 
 def test_estimator_consistent_across_two_decades_of_kp():

@@ -11,7 +11,6 @@ from extremctl.plant import (
     DecoupledLinear,
     GainSchedule,
     Infeasible,
-    JointState,
     NumericalBlowup,
     PlanarChain,
     actuator_torque,
@@ -38,17 +37,15 @@ def unit_gains(omega_n=10.0, eta=0.0, n=1):
 
 
 def test_torque_zero_at_equilibrium():
-    state = JointState.at_rest(np.array([0.4]))
     gains = GainSchedule(kp=np.array([100.0]), kd=np.array([20.0]), eta=np.array([0.0]))
-    tau = actuator_torque(state, np.array([0.4]), np.array([0.0]), gains)
+    tau = actuator_torque(np.array([0.4]), np.zeros(1), np.array([0.4]), np.array([0.0]), gains)
     assert tau[0] == 0.0
 
 
 def test_torque_worked_value():
     # kp dq + eta kd qdot_t = 100*0.1 + 0.9*20*1 = 10 + 18
-    state = JointState.at_rest(np.array([0.0]))
     gains = GainSchedule(kp=np.array([100.0]), kd=np.array([20.0]), eta=np.array([0.9]))
-    tau = actuator_torque(state, np.array([0.1]), np.array([1.0]), gains)
+    tau = actuator_torque(np.zeros(1), np.zeros(1), np.array([0.1]), np.array([1.0]), gains)
     assert abs(tau[0] - 28.0) < 1e-12
 
 
@@ -60,8 +57,7 @@ def test_torque_eta_zero_is_plain_pd():
         qd = rng.normal(size=2)
         q_t = rng.normal(size=2)
         qd_t = rng.normal(size=2)
-        state = JointState(q, qd)
-        tau = actuator_torque(state, q_t, qd_t, gains)
+        tau = actuator_torque(q, qd, q_t, qd_t, gains)
         ref = gains.kp * (q_t - q) - gains.kd * qd
         assert np.array_equal(tau, ref)
 
@@ -69,8 +65,7 @@ def test_torque_eta_zero_is_plain_pd():
 def test_feedforward_mask_gates_per_joint():
     gains = GainSchedule.from_impedance(m_eff=np.ones(2), omega_n=10.0, eta=[0.9, 0.0])
     assert np.array_equal(gains.eta, [0.9, 0.0])
-    state = JointState.at_rest(np.zeros(2))
-    tau = actuator_torque(state, np.zeros(2), np.ones(2), gains)
+    tau = actuator_torque(np.zeros(2), np.zeros(2), np.zeros(2), np.ones(2), gains)
     assert tau[0] > 0.0 and tau[1] == 0.0
 
 
@@ -80,10 +75,9 @@ def test_feedforward_mask_gates_per_joint():
 def test_step_rest_stays_at_rest():
     plant = DecoupledLinear(inertia=np.array([1.0]))
     gains = GainSchedule(kp=np.array([0.0]), kd=np.array([0.0]), eta=np.array([0.0]))
-    state = JointState.at_rest(np.array([0.7]))
-    nxt = step(plant, state, np.array([0.7]), np.array([0.0]), gains)
-    assert np.array_equal(nxt.q, state.q)
-    assert np.array_equal(nxt.qdot, state.qdot)
+    q, qdot = step(plant, np.array([0.7]), np.zeros(1), np.array([0.7]), np.array([0.0]), gains)
+    assert np.array_equal(q, [0.7])
+    assert np.array_equal(qdot, [0.0])
 
 
 def test_step_constant_torque_ramps_velocity():
@@ -91,10 +85,10 @@ def test_step_constant_torque_ramps_velocity():
     # 1 s at M = 2 must end at qdot = 2.
     plant = DecoupledLinear(inertia=np.array([2.0]), physics_dt=1e-3)
     gains = GainSchedule(kp=np.array([400.0]), kd=np.array([0.0]), eta=np.array([0.0]))
-    state = JointState.at_rest(np.array([0.0]))
+    q = qdot = np.zeros(1)
     for _ in range(1000):
-        state = step(plant, state, state.q + 4.0 / 400.0, np.array([0.0]), gains)
-    assert abs(state.qdot[0] - 2.0) < 1e-3
+        q, qdot = step(plant, q, qdot, q + 4.0 / 400.0, np.array([0.0]), gains)
+    assert abs(qdot[0] - 2.0) < 1e-3
 
 
 def test_blowup_raises():
@@ -116,12 +110,12 @@ def test_held_joint_q_equals_step_loop():
                                         (0.3, 40.0, 1.4, 1.0)]:
         plant = DecoupledLinear(inertia=np.array([inertia]), physics_dt=1e-3)
         gains = GainSchedule.from_impedance(np.array([inertia]), omega_n, zeta, eta)
-        state = JointState.at_rest(np.zeros(1))
+        q = qdot = np.zeros(1)
         want = []
         for k in range(n_steps):
             i = k // substeps
-            state = step(plant, state, np.array([q_ticks[i]]), np.array([qdot_ticks[i]]), gains)
-            want.append(state.q[0])
+            q, qdot = step(plant, q, qdot, np.array([q_ticks[i]]), np.array([qdot_ticks[i]]), gains)
+            want.append(q[0])
         got = held_joint_q(plant, gains, q_ticks, qdot_ticks, substeps, n_steps)
         assert np.array_equal(got, want)
     with pytest.raises(NumericalBlowup, match="exceeded"):
@@ -130,16 +124,6 @@ def test_held_joint_q_equals_step_loop():
                      [1.0], [0.0], 20, 20)
     with pytest.raises(ValueError):
         held_joint_q(DecoupledLinear(inertia=np.ones(2)), unit_gains(n=2), [1.0], [0.0], 1, 1)
-
-
-def test_joint_limits_clamp_and_kill_velocity():
-    plant = DecoupledLinear(
-        inertia=np.array([1.0]), joint_limits=np.array([[-0.5, 0.5]])
-    )
-    rec = run_episode(plant, unit_gains(), lambda t: (2.0, 0.0), 2.0, 0.02)
-    assert rec.q.max() == 0.5
-    assert rec.q[-1, 0] == 0.5
-    assert rec.qdot[-1, 0] == 0.0
 
 
 # ------------------------------------------------------------- planar chain
@@ -227,12 +211,12 @@ def test_chain_mass_matrix_spd():
 def test_chain_conserves_energy_unforced():
     chain = PlanarChain(masses=np.array([1.0, 0.6]), lengths=np.array([0.4, 0.3]))
     zero = GainSchedule(kp=np.zeros(2), kd=np.zeros(2), eta=np.zeros(2))
-    state = JointState(np.array([0.3, -0.2]), np.array([1.0, -0.5]))
-    e0 = chain.energy(state.q, state.qdot)
+    q, qdot = np.array([0.3, -0.2]), np.array([1.0, -0.5])
+    e0 = chain.energy(q, qdot)
     worst = 0.0
     for _ in range(10000):
-        state = step(chain, state, state.q, np.zeros(2), zero)
-        worst = max(worst, abs(chain.energy(state.q, state.qdot) - e0))
+        q, qdot = step(chain, q, qdot, q, np.zeros(2), zero)
+        worst = max(worst, abs(chain.energy(q, qdot) - e0))
     assert worst / e0 < 1e-3
 
 
@@ -344,11 +328,11 @@ def test_energy_never_increases_under_damped_regulation():
     # monotonically when only the PD acts.
     plant = DecoupledLinear(inertia=np.array([1.0]))
     gains = unit_gains()
-    state = JointState(np.array([0.3]), np.array([2.0]))
-    prev = 0.5 * state.qdot[0] ** 2 + 0.5 * gains.kp[0] * (state.q[0] - 0.5) ** 2
+    q, qdot = np.array([0.3]), np.array([2.0])
+    prev = 0.5 * qdot[0] ** 2 + 0.5 * gains.kp[0] * (q[0] - 0.5) ** 2
     for _ in range(3000):
-        state = step(plant, state, np.array([0.5]), np.array([0.0]), gains)
-        energy = 0.5 * state.qdot[0] ** 2 + 0.5 * gains.kp[0] * (state.q[0] - 0.5) ** 2
+        q, qdot = step(plant, q, qdot, np.array([0.5]), np.array([0.0]), gains)
+        energy = 0.5 * qdot[0] ** 2 + 0.5 * gains.kp[0] * (q[0] - 0.5) ** 2
         assert energy <= prev + 1e-9
         prev = energy
 
@@ -504,6 +488,20 @@ def test_gain_schedule_validation_and_synthesis():
     gains = GainSchedule.from_impedance(m_eff=2.0, omega_n=10.0, zeta=1.0)
     assert gains.kp[0] == 200.0
     assert gains.kd[0] == 40.0
+    zero = GainSchedule.from_impedance(m_eff=1.0, omega_n=0.0)
+    assert zero.kp[0] == 0.0 and zero.kd[0] == 0.0
+    # quadratic / linear scaling in the target frequency, exactly
+    double = GainSchedule.from_impedance(m_eff=2.0, omega_n=20.0, zeta=1.0)
+    assert double.kp[0] / gains.kp[0] == 4.0 and double.kd[0] / gains.kd[0] == 2.0
+
+
+def test_from_impedance_frequency_ratio_is_exact():
+    # Same inertia estimate, two target frequencies: the kp ratio is a
+    # pure number and must not pick up float noise.
+    for m_bar in (0.37, 1.0, 12.9):
+        hi = GainSchedule.from_impedance(m_bar, 15.0).kp[0]
+        lo = GainSchedule.from_impedance(m_bar, 10.0).kp[0]
+        assert float(hi / lo) == 2.25
 
 
 def test_gain_schedule_refuses_nan_naming_value():
@@ -546,15 +544,11 @@ def test_gain_file_feedforward_mask_reads_as_zero_eta():
 
 
 def test_plant_round_trips():
-    lin = DecoupledLinear(
-        inertia=np.array([1.0, 2.5]), physics_dt=2e-3,
-        joint_limits=np.array([[-1.0, 1.0], [-2.0, 2.0]]),
-    )
+    lin = DecoupledLinear(inertia=np.array([1.0, 2.5]), physics_dt=2e-3)
     back = plant_from_dict(lin.to_dict())
     assert isinstance(back, DecoupledLinear)
     assert np.array_equal(back.inertia, lin.inertia)
     assert back.physics_dt == lin.physics_dt
-    assert np.array_equal(back.joint_limits, lin.joint_limits)
 
     chain = PlanarChain(
         masses=np.array([1.4, 0.9]), lengths=np.array([0.35, 0.28]),
@@ -572,6 +566,17 @@ def test_plant_round_trips():
         plant_from_dict({"kind": "hydraulic"})
 
 
+@pytest.mark.parametrize("key", ["joint_limits_rad", "gravity", "physics_dt"])
+def test_plant_file_refuses_keys_to_dict_does_not_write(key):
+    for plant in (DecoupledLinear(inertia=np.array([1.0])),
+                  PlanarChain(masses=np.array([1.0]), lengths=np.array([0.3]))):
+        d = plant.to_dict()
+        plant_from_dict(d)
+        d[key] = 9.81
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+            plant_from_dict(d)
+
+
 def test_make_sinusoid_forms():
     ref = make_sinusoid(0.3, 2.0)
     q_t, qd_t = ref(0.3)
@@ -580,5 +585,7 @@ def test_make_sinusoid_forms():
 
 
 def test_at_rest_state():
-    state = JointState.at_rest(np.array([0.1, -0.2]))
-    assert np.array_equal(state.qdot, np.zeros(2))
+    # An episode starts at rest at q = 0: held there, nothing moves.
+    rec = run_episode(DecoupledLinear(inertia=np.array([1.0, 2.0])), unit_gains(n=2),
+                      lambda t: (0.0, 0.0), 0.1, 0.02)
+    assert not np.any(rec.q) and not np.any(rec.qdot)
