@@ -488,11 +488,18 @@ def test_gain_schedule_validation_and_synthesis():
     gains = GainSchedule.from_impedance(m_eff=2.0, omega_n=10.0, zeta=1.0)
     assert gains.kp[0] == 200.0
     assert gains.kd[0] == 40.0
+
+
+def test_from_impedance_worked_values():
+    gains = GainSchedule.from_impedance(m_eff=1.0, omega_n=10.0, zeta=1.0)
+    assert gains.kp[0] == 100.0 and gains.kd[0] == 20.0
     zero = GainSchedule.from_impedance(m_eff=1.0, omega_n=0.0)
     assert zero.kp[0] == 0.0 and zero.kd[0] == 0.0
     # quadratic / linear scaling in the target frequency, exactly
-    double = GainSchedule.from_impedance(m_eff=2.0, omega_n=20.0, zeta=1.0)
+    double = GainSchedule.from_impedance(m_eff=1.0, omega_n=20.0, zeta=1.0)
     assert double.kp[0] / gains.kp[0] == 4.0 and double.kd[0] / gains.kd[0] == 2.0
+    with pytest.raises(ValueError):
+        GainSchedule.from_impedance(m_eff=0.0, omega_n=10.0)
 
 
 def test_from_impedance_frequency_ratio_is_exact():
