@@ -62,12 +62,20 @@ def _write_meta(out_path: str, command: str, resolved: dict) -> None:
     fileio.dump_json(str(out_path) + ".meta.json", meta)
 
 
+def _load_object(path) -> dict:
+    """A JSON file whose top level must be an object; refused naming the file."""
+    d = fileio.load_json(path)
+    if not isinstance(d, dict):
+        raise ValueError(f"{path}: top level must be a JSON object, got {type(d).__name__}")
+    return d
+
+
 class _Merged:
     """Flag/--config/default resolution; flags win, then config, then default."""
 
     def __init__(self, args: argparse.Namespace) -> None:
         self.args = args
-        self.config = fileio.load_json(args.config) if getattr(args, "config", None) else {}
+        self.config = _load_object(args.config) if getattr(args, "config", None) else {}
 
     def get(self, name: str, default=None, cast=None):
         value = getattr(self.args, name.replace("-", "_"), None)
@@ -135,7 +143,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 def _cmd_calibrate_gains(args: argparse.Namespace) -> int:
     m = _Merged(args)
-    plant = plant_from_dict(fileio.load_json(m.get("plant")))
+    plant = plant_from_dict(_load_object(m.get("plant")))
     config = CalibrationConfig(
         omega_n=m.get("omega-n", 10.0, float),
         zeta=m.get("zeta", 1.0, float),
@@ -154,15 +162,15 @@ def _cmd_calibrate_gains(args: argparse.Namespace) -> int:
 
 def _load_gains(path) -> GainSchedule:
     # calibrate-gains wraps the schedule under "gains"; accept either layout
-    d = fileio.load_json(path)
-    if isinstance(d, dict) and "kp_nm_per_rad" not in d and "gains" in d:
+    d = _load_object(path)
+    if "kp_nm_per_rad" not in d and "gains" in d:
         d = d["gains"]
     return GainSchedule.from_dict(d)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     m = _Merged(args)
-    plant = plant_from_dict(fileio.load_json(m.get("plant")))
+    plant = plant_from_dict(_load_object(m.get("plant")))
     gains = _load_gains(m.get("gains"))
     reference = _parse_reference(m.get("ref", "sin:0.3,3.14"))
     record = run_episode(

@@ -16,8 +16,8 @@ A run has two phases. Phase 1, the transport, steps the virtual clock
 through emit, jitter, drop, delivery, mailbox, map_frame and the held
 target, and records one held (q, qdot) target per control tick. Nothing
 in it depends on eta, zeta, omega_n or the plant inertia. Phase 2, the
-plant, integrates the joint under those held targets as a Python-float
-recurrence (plant.held_joint_q: step's operations in step's order).
+plant, integrates the joint under those held targets with
+plant.held_joint_q, the integrator run_episode uses too.
 run_pipeline is phase 1 then phase 2; run_pipeline_sweep runs phase 1
 once and phase 2 once per eta, and its records equal run_pipeline's.
 """
@@ -36,8 +36,8 @@ from .errors import ExtremControlError
 from .impedance import TWO_PI
 from .latency import MotionSignal, estimate_lag
 from .mapping import LINKS, CalibrationProfile, LinkSet, RobotModel, _row, calibrate, map_frame
-from .plant import SETTLE_S, DecoupledLinear, GainSchedule, equivalent_delay, held_joint_q
-from .plant import step  # noqa: F401  (unused here; perfbench's tracer wraps pipeline.step)
+from .plant import SETTLE_S, DecoupledLinear, GainSchedule, _check_keys, equivalent_delay
+from .plant import held_joint_q, step  # noqa: F401  (perfbench's tracer wraps pipeline.step)
 from .wire import LatestValueMailbox, PoseFrame, decode_frame, encode_frame
 
 
@@ -113,12 +113,10 @@ class MotionSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "MotionSpec":
-        return MotionSpec(
-            amplitude_m=float(d.get("amplitude_m", 0.15)),
-            frequency_hz=float(d.get("frequency_hz", 0.5)),
-            link=str(d.get("link", "right_hand")),
-            axis=int(d.get("axis", 2)),
-        )
+        """Spec from its to_dict form, absent keys at their defaults; others are refused."""
+        casts = {"amplitude_m": float, "frequency_hz": float, "link": str, "axis": int}
+        _check_keys(d, casts, "motion")
+        return MotionSpec(**{k: casts[k](v) for k, v in d.items()})
 
 
 # PipelineConfig's numeric fields besides seed; each must be finite.
@@ -254,8 +252,8 @@ class _Transport:
 
     t: np.ndarray
     human_signal: np.ndarray
-    q_ticks: list[float]  # held target per control tick, rad
-    qdot_ticks: list[float]  # its finite-difference velocity, rad/s
+    q_ticks: np.ndarray  # (n_ticks, 1): held target per control tick, rad
+    qdot_ticks: np.ndarray  # (n_ticks, 1): its finite-difference velocity, rad/s
     consumed: list[ConsumedFrame]
     staleness_ns: list[int]
     frames_emitted: int
@@ -349,8 +347,8 @@ def _run_transport(config: PipelineConfig, n_steps: int, substeps: int) -> _Tran
     return _Transport(
         t=t_axis,
         human_signal=rec_human,
-        q_ticks=q_ticks,
-        qdot_ticks=qdot_ticks,
+        q_ticks=np.array(q_ticks)[:, None],
+        qdot_ticks=np.array(qdot_ticks)[:, None],
         consumed=consumed,
         staleness_ns=staleness,
         frames_emitted=seq,
@@ -382,7 +380,7 @@ def run_pipeline_sweep(config: PipelineConfig, etas) -> Iterator[PipelineRecord]
         for c in configs
     ]
     tr = _run_transport(config, n_steps, substeps)
-    q_target_held = np.repeat(np.array(tr.q_ticks), substeps)[:n_steps]
+    q_target_held = np.repeat(tr.q_ticks[:, 0], substeps)[:n_steps]
     for shared in (tr.t, tr.human_signal, q_target_held):
         shared.flags.writeable = False
     for c, g in zip(configs, gains):
@@ -390,7 +388,7 @@ def run_pipeline_sweep(config: PipelineConfig, etas) -> Iterator[PipelineRecord]
             t=tr.t,
             human_signal=tr.human_signal,
             q_target_held=q_target_held,
-            q=held_joint_q(plant, g, tr.q_ticks, tr.qdot_ticks, substeps, n_steps),
+            q=held_joint_q(plant, g, tr.q_ticks, tr.qdot_ticks, substeps, n_steps)[:, 0],
             consumed=list(tr.consumed),
             staleness_ns=list(tr.staleness_ns),
             frames_emitted=tr.frames_emitted,

@@ -19,8 +19,10 @@ mass matrix, Coriolis/centrifugal terms, optional gravity). Integration is
 semi-implicit Euler at a fixed physics step; control targets are held
 zero-order between control ticks.
 
-State arrays, targets, and gains all broadcast over a leading batch
-dimension, so parallel environments step in lockstep.
+held_joint_q is the one integrator of the law under held targets: a `step`
+loop on a chain, `step`'s float operations per joint on decoupled joints.
+run_episode (simulate, delay-curve) and the pipeline both call it. `step`
+broadcasts over a leading batch dimension, so environments run in lockstep.
 """
 
 from __future__ import annotations
@@ -104,10 +106,6 @@ class GainSchedule:
             zeta=zeta_b,
         )
 
-    @property
-    def n_joints(self) -> int:
-        return self.kp.shape[0]
-
     def to_dict(self) -> dict:
         d = {
             "kp_nm_per_rad": self.kp.tolist(),
@@ -122,17 +120,14 @@ class GainSchedule:
 
     @staticmethod
     def from_dict(d: dict) -> "GainSchedule":
+        """Schedule from its to_dict form (or an older file's); others are refused."""
+        _check_keys(d, _GAIN_KEYS, "gain schedule")
         eta = np.asarray(d["eta"], dtype=float)
         if "feedforward_enabled" in d:
             # older gain files carry a per-joint enable mask: off means eta = 0
             eta = np.where(np.asarray(d["feedforward_enabled"], dtype=bool), eta, 0.0)
-        return GainSchedule(
-            kp=np.asarray(d["kp_nm_per_rad"], dtype=float),
-            kd=np.asarray(d["kd_nms_per_rad"], dtype=float),
-            eta=eta,
-            omega_n=np.asarray(d["omega_n_rad_s"], dtype=float) if "omega_n_rad_s" in d else None,
-            zeta=np.asarray(d["zeta"], dtype=float) if "zeta" in d else None,
-        )
+        return GainSchedule(kp=d["kp_nm_per_rad"], kd=d["kd_nms_per_rad"], eta=eta,
+                            omega_n=d.get("omega_n_rad_s"), zeta=d.get("zeta"))
 
 
 @dataclass(frozen=True)
@@ -287,6 +282,10 @@ class PlanarChain:
 
 PlantModel = Union[DecoupledLinear, PlanarChain]
 
+# The keys GainSchedule.to_dict writes, plus the older per-joint mask.
+_GAIN_KEYS = {"kp_nm_per_rad", "kd_nms_per_rad", "eta", "omega_n_rad_s", "zeta",
+              "feedforward_enabled"}
+
 # The keys each kind's to_dict writes; a plant file may hold no others.
 _PLANT_KEYS = {
     "decoupled_linear": {"kind", "inertia_kg_m2", "physics_dt_s"},
@@ -295,29 +294,32 @@ _PLANT_KEYS = {
 }
 
 
+def _check_keys(d: dict, allowed, what: str) -> None:
+    """Refuse a non-object, and any key the reader does not know by name,
+    so a misspelt field never runs as its default."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise ValueError(f"{what}: unknown key {', '.join(map(repr, unknown))}")
+
+
 def plant_from_dict(d: dict) -> PlantModel:
-    """Plant from its to_dict form; a key to_dict does not write is refused
-    by name, so a misspelt field never runs as its default."""
+    """Plant from its to_dict form; a key to_dict does not write is refused."""
     kind = d.get("kind")
     if kind not in _PLANT_KEYS:
         raise ValueError(f"unknown plant kind {kind!r}")
-    unknown = sorted(set(d) - _PLANT_KEYS[kind])
-    if unknown:
-        raise ValueError(f"{kind} plant: unknown key {', '.join(map(repr, unknown))}")
+    _check_keys(d, _PLANT_KEYS[kind], f"{kind} plant")
+    physics_dt = float(d.get("physics_dt_s", 1e-3))
     if kind == "decoupled_linear":
-        return DecoupledLinear(
-            inertia=np.asarray(d["inertia_kg_m2"], dtype=float),
-            physics_dt=float(d.get("physics_dt_s", 1e-3)),
-        )
+        return DecoupledLinear(inertia=d["inertia_kg_m2"], physics_dt=physics_dt)
     return PlanarChain(
-        masses=np.asarray(d["link_masses_kg"], dtype=float),
-        lengths=np.asarray(d["link_lengths_m"], dtype=float),
-        com=np.asarray(d["com_m"], dtype=float) if "com_m" in d else None,
-        inertia_com=np.asarray(d["inertia_com_kg_m2"], dtype=float)
-        if "inertia_com_kg_m2" in d
-        else None,
+        masses=d["link_masses_kg"],
+        lengths=d["link_lengths_m"],
+        com=d.get("com_m"),
+        inertia_com=d.get("inertia_com_kg_m2"),
         gravity=float(d.get("gravity_m_s2", 0.0)),
-        physics_dt=float(d.get("physics_dt_s", 1e-3)),
+        physics_dt=physics_dt,
     )
 
 
@@ -373,48 +375,59 @@ def step(
 
 
 def held_joint_q(
-    plant: DecoupledLinear,
+    plant: PlantModel,
     gains: GainSchedule,
-    q_ticks: Sequence[float],
-    qdot_ticks: Sequence[float],
+    q_ticks: np.ndarray,
+    qdot_ticks: np.ndarray,
     substeps: int,
     n_steps: int,
 ) -> np.ndarray:
-    """Positions of one decoupled joint, from rest, under held targets.
+    """Positions (n_steps, n) of an n-joint plant, from rest, under held targets.
 
-    Target i, (q_ticks[i], qdot_ticks[i]), is held for physics steps
-    i * substeps up to (i + 1) * substeps; n_steps steps run in all. This
-    is `step` on Python floats instead of 1-element arrays: the same
-    operations in the same order, so q[k] equals what a `step` loop gives
-    bit for bit, with the same NumericalBlowup checks after every step.
-    Takes a one-joint plant.
+    Row i of the (n_ticks, n) ticks, (q_ticks[i], qdot_ticks[i]), is held
+    for physics steps i * substeps up to (i + 1) * substeps; n_steps steps
+    run in all. A PlanarChain runs a `step` loop. Decoupled joints do not
+    interact, so each runs alone as `step` on Python floats instead of
+    arrays: the same operations in the same order, so q equals a `step`
+    loop bit for bit, with the same NumericalBlowup checks after every step.
     """
-    if plant.n_joints != 1 or gains.n_joints != 1:
-        raise ValueError("held_joint_q takes one joint")
-    inertia, dt = float(plant.inertia[0]), plant.physics_dt
-    kp, kd, eta = float(gains.kp[0]), float(gains.kd[0]), float(gains.eta[0])
-    bound, inf = QDOT_BLOWUP, math.inf
-    q = qdot = 0.0
-    out = array("d")  # unboxed: no float object per step
-    for i in range(-(-n_steps // substeps)):
-        q_t = q_ticks[i]
-        feedforward = eta * kd * qdot_ticks[i]
-        for _ in range(min(substeps, n_steps - i * substeps)):
-            tau = kp * (q_t - q) - kd * qdot
-            if eta != 0.0:
-                tau = tau + feedforward
-            qdot = qdot + dt * (tau / inertia)
-            q = q + dt * qdot
-            # Comparisons with NaN are False, so NaN fails both ranges.
-            if not (-bound <= qdot <= bound and -inf < q < inf):
-                if not (math.isfinite(q) and math.isfinite(qdot)):
-                    raise NumericalBlowup("non-finite joint state")
-                raise NumericalBlowup(f"|qdot| exceeded {QDOT_BLOWUP:g} rad/s")
-            out.append(q)
-    return np.frombuffer(out)
+    n = plant.n_joints
+    out = np.empty((n_steps, n))  # before any step: an unallocatable run fails at once
+    if isinstance(plant, PlanarChain):
+        q = qdot = np.zeros(n)
+        for k in range(n_steps):
+            i = k // substeps
+            q, qdot = step(plant, q, qdot, q_ticks[i], qdot_ticks[i], gains)
+            out[k] = q
+        return out
+
+    dt, bound, inf = plant.physics_dt, QDOT_BLOWUP, math.inf
+    kps, kds, etas = (np.broadcast_to(g, (n,)).tolist() for g in (gains.kp, gains.kd, gains.eta))
+    for j in range(n):
+        inertia, kp, kd, eta = float(plant.inertia[j]), kps[j], kds[j], etas[j]
+        q_col, qdot_col = q_ticks[:, j].tolist(), qdot_ticks[:, j].tolist()
+        q = qdot = 0.0
+        col = array("d")  # unboxed: no float object per step
+        for i in range(-(-n_steps // substeps)):
+            q_t = q_col[i]
+            feedforward = eta * kd * qdot_col[i]
+            for _ in range(min(substeps, n_steps - i * substeps)):
+                tau = kp * (q_t - q) - kd * qdot
+                if eta != 0.0:
+                    tau = tau + feedforward
+                qdot = qdot + dt * (tau / inertia)
+                q = q + dt * qdot
+                # Comparisons with NaN are False, so NaN fails both ranges.
+                if not (-bound <= qdot <= bound and -inf < q < inf):
+                    if not (math.isfinite(q) and math.isfinite(qdot)):
+                        raise NumericalBlowup("non-finite joint state")
+                    raise NumericalBlowup(f"|qdot| exceeded {QDOT_BLOWUP:g} rad/s")
+                col.append(q)
+        out[:, j] = np.frombuffer(col)
+    return out
 
 
-Reference =Callable[[float], Union[np.ndarray, float, tuple]]
+Reference = Callable[[float], Union[np.ndarray, float, tuple]]
 
 
 def make_sinusoid(amplitude: float, omega: float) -> Reference:
@@ -424,13 +437,11 @@ def make_sinusoid(amplitude: float, omega: float) -> Reference:
 
 @dataclass
 class EpisodeRecord:
-    """Uniformly sampled (physics rate) trajectories from run_episode."""
+    """Physics-rate run_episode output; row k is after step k, at t[k] = k * dt + dt."""
 
     t: np.ndarray
     q_target_held: np.ndarray  # ZOH target the controller saw
-    qdot_target_held: np.ndarray
     q: np.ndarray
-    qdot: np.ndarray
 
     @property
     def n_joints(self) -> int:
@@ -450,7 +461,9 @@ def run_episode(
     only; in the latter case target velocities are backward finite
     differences of the held positions over the control period, which is
     all a deployed target stream can offer. control_dt must be an integer
-    multiple of the plant's physics step.
+    multiple of the plant's physics step. The reference is sampled once per
+    control tick, at t = k * physics_dt for k = i * substeps; held_joint_q
+    then integrates.
     """
     _check_finite_positive(duration=duration, control_dt=control_dt)
     n = plant.n_joints
@@ -461,43 +474,21 @@ def run_episode(
     substeps = int(round(substeps))
     n_steps = int(round(duration / dt))
 
-    def broadcast(x) -> np.ndarray:
-        return np.broadcast_to(np.asarray(x, dtype=float), (n,)).copy()
-
-    def sample(t: float) -> tuple[np.ndarray, np.ndarray | None]:
-        out = reference(t)
+    t = np.arange(n_steps) * dt + dt  # before any sampling: an unallocatable run fails at once
+    q_ticks = np.empty((-(-n_steps // substeps), n))
+    qdot_ticks = np.empty_like(q_ticks)
+    for i in range(q_ticks.shape[0]):
+        out = reference(i * substeps * dt)
         if isinstance(out, tuple):
-            q_t, qd_t = out
-            return broadcast(q_t), broadcast(qd_t)
-        return broadcast(out), None
-
-    q = qdot = np.zeros(n)
-    rec = {
-        name: np.empty((n_steps, n))
-        for name in ("q_target_held", "qdot_target_held", "q", "qdot")
-    }
-    t_axis = np.empty(n_steps)
-
-    held_q = held_qd = None
-    prev_held_q = None
-    for k in range(n_steps):
-        t = k * dt
-        if k % substeps == 0:
-            q_t, qd_t = sample(t)
-            if qd_t is None:
-                qd_t = (
-                    np.zeros(n) if prev_held_q is None else (q_t - prev_held_q) / control_dt
-                )
-            prev_held_q = q_t
-            held_q, held_qd = q_t, qd_t
-        q, qdot = step(plant, q, qdot, held_q, held_qd, gains)
-        t_axis[k] = t + dt
-        rec["q_target_held"][k] = held_q
-        rec["qdot_target_held"][k] = held_qd
-        rec["q"][k] = q
-        rec["qdot"][k] = qdot
-
-    return EpisodeRecord(t=t_axis, **rec)
+            q_ticks[i], qdot_ticks[i] = out
+        else:
+            q_ticks[i] = out
+            qdot_ticks[i] = 0.0 if i == 0 else (q_ticks[i] - q_ticks[i - 1]) / control_dt
+    return EpisodeRecord(
+        t=t,
+        q_target_held=np.repeat(q_ticks, substeps, axis=0)[:n_steps],
+        q=held_joint_q(plant, gains, q_ticks, qdot_ticks, substeps, n_steps),
+    )
 
 
 def frequency_response(gains: GainSchedule, omega: Union[float, np.ndarray]):

@@ -507,6 +507,57 @@ def test_pipeline_config_null_motion_runs_default_motion(tmp_path):
     assert fileio.load_json(str(out))["config"]["motion"] == MotionSpec().to_dict()
 
 
+def test_gain_file_unknown_key_exits_one_naming_it(tmp_path, capsys):
+    write_plant_inputs(tmp_path, inertia=(1.0,))
+    fileio.dump_json(str(tmp_path / "gains.json"),
+                     {"kp_nm_per_rad": [1], "kd_nms_per_rad": [1], "eta": [0], "kpp": 3})
+    out = tmp_path / "e.csv"
+    assert main(["simulate", "--plant", str(tmp_path / "plant.json"),
+                 "--gains", str(tmp_path / "gains.json"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    diag = json.loads(err)
+    assert diag["error"] == "ValueError" and "unknown key 'kpp'" in diag["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, bad", [("simulate", "plant"), ("simulate", "gains"), ("simulate", "config"),
+                     ("calibrate-gains", "plant"), ("calibrate-gains", "config")])
+def test_non_object_input_file_exits_one_naming_file(tmp_path, capsys, command, bad):
+    """A plant, gain or config file whose top level is not a JSON object."""
+    write_plant_inputs(tmp_path, inertia=(1.0,))
+    fileio.dump_json(str(tmp_path / "bad.json"), [1.0])
+    files = {"plant": tmp_path / "plant.json", "gains": tmp_path / "gains.json", bad: tmp_path / "bad.json"}
+    out = tmp_path / "out"
+    argv = [command, "--plant", str(files["plant"]), "--out", str(out)]
+    if command == "simulate":
+        argv += ["--gains", str(files["gains"])]
+    if bad == "config":
+        argv += ["--config", str(files["config"])]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    diag = json.loads(err)
+    assert diag["error"] == "ValueError"
+    assert "bad.json" in diag["message"] and "JSON object" in diag["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("motion, named", [({"amplitude": 0.3}, "unknown key 'amplitude'"),
+                                           ([1], "motion must be a JSON object")])
+def test_pipeline_config_bad_motion_exits_one_naming_it(tmp_path, capsys, motion, named):
+    cfg = tmp_path / "cfg.json"
+    fileio.dump_json(str(cfg), {"motion": motion, "duration_s": 5})
+    out = tmp_path / "bad_motion.json"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    diag = json.loads(err)
+    assert diag["error"] == "ValueError" and named in diag["message"]
+    assert not out.exists()
+
+
 def test_malformed_signal_and_stream_rows_exit_one_naming_line(tmp_path, capsys):
     good = tmp_path / "good.csv"
     fileio.write_signal_csv(str(good), MotionSignal(np.sin(np.arange(300) / 10.0), 100.0))

@@ -98,32 +98,75 @@ def test_blowup_raises():
         run_episode(plant, gains, lambda t: (1.0, 0.0), 2.0, 0.1)
 
 
+def step_loop(plant, gains, q_ticks, qdot_ticks, substeps, n_steps):
+    """The reference integrator: `step` on arrays, one call per physics step."""
+    q = qdot = np.zeros(plant.n_joints)
+    want = np.empty((n_steps, plant.n_joints))
+    for k in range(n_steps):
+        i = k // substeps
+        q, qdot = step(plant, q, qdot, q_ticks[i], qdot_ticks[i], gains)
+        want[k] = q
+    return want
+
+
 def test_held_joint_q_equals_step_loop():
-    """The float recurrence against its reference, step on 1-element
-    arrays: bit-identical positions, including a last hold cut short."""
+    """The float recurrence against its reference, step on arrays:
+    bit-identical positions, including a last hold cut short and a
+    2-joint plant with feedforward on one joint only."""
     rng = np.random.default_rng(8)
     substeps, n_steps = 20, 977
     n_ticks = -(-n_steps // substeps)
-    q_ticks = np.cumsum(rng.normal(scale=0.05, size=n_ticks)).tolist()
-    qdot_ticks = rng.normal(size=n_ticks).tolist()
-    for inertia, omega_n, zeta, eta in [(1.0, 10.0, 1.0, 0.0), (2.5, 17.0, 0.6, 0.9),
-                                        (0.3, 40.0, 1.4, 1.0)]:
-        plant = DecoupledLinear(inertia=np.array([inertia]), physics_dt=1e-3)
-        gains = GainSchedule.from_impedance(np.array([inertia]), omega_n, zeta, eta)
-        q = qdot = np.zeros(1)
-        want = []
-        for k in range(n_steps):
-            i = k // substeps
-            q, qdot = step(plant, q, qdot, np.array([q_ticks[i]]), np.array([qdot_ticks[i]]), gains)
-            want.append(q[0])
-        got = held_joint_q(plant, gains, q_ticks, qdot_ticks, substeps, n_steps)
-        assert np.array_equal(got, want)
+    q_ticks = np.cumsum(rng.normal(scale=0.05, size=(n_ticks, 2)), axis=0)
+    qdot_ticks = rng.normal(size=(n_ticks, 2))
+    for inertia, omega_n, zeta, eta in [([1.0], 10.0, 1.0, 0.0), ([2.5], 17.0, 0.6, 0.9),
+                                        ([0.3], 40.0, 1.4, 1.0),
+                                        ([1.0, 2.5], [10.0, 17.0], [1.0, 0.6], [0.0, 0.9])]:
+        n = len(inertia)
+        plant = DecoupledLinear(inertia=np.array(inertia), physics_dt=1e-3)
+        gains = GainSchedule.from_impedance(np.array(inertia), omega_n, zeta, eta)
+        args = (plant, gains, q_ticks[:, :n], qdot_ticks[:, :n], substeps, n_steps)
+        got = held_joint_q(*args)
+        assert got.shape == (n_steps, n)
+        assert np.array_equal(got, step_loop(*args))
     with pytest.raises(NumericalBlowup, match="exceeded"):
         held_joint_q(DecoupledLinear(inertia=np.array([1.0]), physics_dt=0.1),
                      GainSchedule(kp=np.array([1e6]), kd=np.array([0.0]), eta=np.array([0.0])),
-                     [1.0], [0.0], 20, 20)
-    with pytest.raises(ValueError):
-        held_joint_q(DecoupledLinear(inertia=np.ones(2)), unit_gains(n=2), [1.0], [0.0], 1, 1)
+                     np.ones((1, 1)), np.zeros((1, 1)), 20, 20)
+
+
+@pytest.mark.parametrize("gravity", [0.0, 9.81])
+def test_chain_episode_equals_step_loop(gravity):
+    """run_episode on a 2-link chain: targets sampled once per tick at
+    t = k * dt, then a `step` loop, bit for bit."""
+    plant = PlanarChain(masses=np.array([1.0, 0.3]), lengths=np.array([0.3, 0.2]),
+                        gravity=gravity)
+    gains = GainSchedule(kp=np.array([60.0, 20.0]), kd=np.array([8.0, 3.0]),
+                         eta=np.array([0.9, 0.0]))
+    ref = lambda t: (np.array([0.3 * math.sin(2.0 * t), 0.1]), np.array([0.6 * math.cos(2.0 * t), 0.0]))
+    rec = run_episode(plant, gains, ref, 1.0, 0.02)
+    ticks = [ref(i * 20 * 1e-3) for i in range(50)]
+    q_ticks = np.array([q for q, _ in ticks])
+    want = step_loop(plant, gains, q_ticks, np.array([qd for _, qd in ticks]), 20, 1000)
+    assert np.array_equal(rec.q, want)
+    assert np.array_equal(rec.q_target_held, np.repeat(q_ticks, 20, axis=0))
+    assert np.array_equal(rec.t, np.arange(1000) * 1e-3 + 1e-3)  # time after step k
+
+
+def test_position_only_episode_equals_step_loop_on_backward_differences():
+    """A position-only reference gets target velocities that are backward
+    differences of the held positions (0 on the first tick), and the
+    episode equals a `step` loop fed them, with eta 0 on one joint next to
+    eta 0.9 and 1.0 on the others."""
+    plant = DecoupledLinear(inertia=np.array([1.0, 1.5, 0.7]), physics_dt=1e-3)
+    gains = GainSchedule.from_impedance(np.ones(3), 10.0, 1.0, np.array([0.0, 0.9, 1.0]))
+    ref = lambda t: np.array([0.3, -0.2, 0.5]) * math.sin(3.14 * t)
+    rec = run_episode(plant, gains, ref, 2.0, 0.02)
+    q_ticks = np.array([ref(i * 20 * 1e-3) for i in range(100)])
+    qdot_ticks = np.zeros_like(q_ticks)
+    for i in range(1, 100):
+        qdot_ticks[i] = (q_ticks[i] - q_ticks[i - 1]) / 0.02
+    assert np.array_equal(rec.q_target_held, np.repeat(q_ticks, 20, axis=0))
+    assert np.array_equal(rec.q, step_loop(plant, gains, q_ticks, qdot_ticks, 20, 2000))
 
 
 # ------------------------------------------------------------- planar chain
@@ -248,7 +291,8 @@ def test_constant_reference_settles_exactly():
     plant = DecoupledLinear(inertia=np.array([1.0]))
     rec = run_episode(plant, unit_gains(), lambda t: (0.5, 0.0), 3.0, 0.02)
     assert abs(rec.q[-1, 0] - 0.5) < 1e-9
-    assert abs(rec.qdot[-1, 0]) < 1e-8
+    # the last step moves q by dt * qdot: |qdot| < 1e-8
+    assert abs(rec.q[-1, 0] - rec.q[-2, 0]) < 1e-8 * 1e-3
 
 
 def test_episode_eta_zero_bit_identical_to_pure_pd():
@@ -271,7 +315,6 @@ def test_episode_eta_zero_bit_identical_to_pure_pd():
         qd = qd + dt * (tau / m)
         q = q + dt * qd
         assert q[0] == rec.q[k, 0]
-        assert qd[0] == rec.qdot[k, 0]
 
 
 def test_episode_linearity():
@@ -283,17 +326,6 @@ def test_episode_linearity():
     rec_a = run_episode(plant, gains, make_sinusoid(0.3, 3.14), 6.0, 0.02)
     rec_b = run_episode(plant, gains, make_sinusoid(0.3 * scale, 3.14), 6.0, 0.02)
     assert np.abs(scale * rec_a.q - rec_b.q).max() < 1e-9
-
-
-def test_held_velocity_is_finite_difference_of_held_positions():
-    plant = DecoupledLinear(inertia=np.array([1.0]))
-    rec = run_episode(
-        plant, unit_gains(eta=0.9), lambda t: 0.3 * math.sin(3.14 * t), 1.0, 0.02
-    )
-    assert rec.qdot_target_held[0, 0] == 0.0
-    k = 40
-    fd = (rec.q_target_held[k, 0] - rec.q_target_held[k - 20, 0]) / 0.02
-    assert rec.qdot_target_held[k, 0] == fd
 
 
 def test_control_dt_must_divide_into_physics_steps():
@@ -592,7 +624,8 @@ def test_make_sinusoid_forms():
 
 
 def test_at_rest_state():
-    # An episode starts at rest at q = 0: held there, nothing moves.
+    # An episode starts at rest at q = 0: held there, nothing moves (q
+    # constant at 0 means dt * qdot = 0 on every step).
     rec = run_episode(DecoupledLinear(inertia=np.array([1.0, 2.0])), unit_gains(n=2),
                       lambda t: (0.0, 0.0), 0.1, 0.02)
-    assert not np.any(rec.q) and not np.any(rec.qdot)
+    assert not np.any(rec.q)
