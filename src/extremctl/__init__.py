@@ -18,6 +18,7 @@ from .mapping import (
     calibrate,
     heading_anchor,
     map_frame,
+    map_frames,
     torso_from_headset,
 )
 from .plant import (

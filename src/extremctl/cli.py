@@ -32,7 +32,15 @@ from .errors import ExtremControlError
 from . import fileio
 from .impedance import CalibrationConfig, calibrate_chain
 from .latency import MotionSignal, RegionSpec, analyze_pair
-from .mapping import CalibrationProfile, LinkSet, RobotModel, calibrate, map_frame
+from .mapping import (
+    CalibrationProfile,
+    FrameRefused,
+    LinkSet,
+    RobotModel,
+    calibrate,
+    map_frame,  # noqa: F401  perfbench/tracing.py times map_frame under this name too
+    map_frames,
+)
 from .pipeline import (
     PipelineConfig,
     fit_latency_line,
@@ -122,8 +130,8 @@ def _parse_reference(text: str):
 
 def _cmd_calibrate_map(args: argparse.Namespace) -> int:
     m = _Merged(args)
-    neutral = LinkSet.from_dict(fileio.load_json(m.get("neutral")))
-    robot = RobotModel.from_dict(fileio.load_json(m.get("robot")))
+    neutral = LinkSet.from_dict(_load_object(m.get("neutral")))
+    robot = RobotModel.from_dict(_load_object(m.get("robot")))
     profile = calibrate(neutral, robot)
     fileio.dump_json(args.out, profile.to_dict())
     _write_meta(args.out, "calibrate-map", {"neutral": m.get("neutral"), "robot": m.get("robot")})
@@ -132,12 +140,16 @@ def _cmd_calibrate_map(args: argparse.Namespace) -> int:
 
 def _cmd_map(args: argparse.Namespace) -> int:
     m = _Merged(args)
-    profile = CalibrationProfile.from_dict(fileio.load_json(m.get("profile")))
-    frames = fileio.read_linkset_jsonl(m.get("frames"))
-    fileio.write_linkset_jsonl(
-        args.out, ((ts, map_frame(profile, links)) for ts, links in frames)
-    )
-    _write_meta(args.out, "map", {"profile": m.get("profile"), "frames": m.get("frames")})
+    profile = CalibrationProfile.from_dict(_load_object(m.get("profile")))
+    path = m.get("frames")
+    stream = fileio.read_linkset_jsonl(path)
+    # The whole stream maps before --out opens: a refused frame leaves no file.
+    try:
+        mapped = map_frames(profile, stream.poses)
+    except FrameRefused as exc:
+        raise ValueError(f"{path} line {stream.lines[exc.index]}: {exc}") from None
+    fileio.write_linkset_jsonl(args.out, stream.stamps, mapped)
+    _write_meta(args.out, "map", {"profile": m.get("profile"), "frames": path})
     return 0
 
 
@@ -264,8 +276,15 @@ def _cmd_latency(args: argparse.Namespace) -> int:
     return 0
 
 
+# `pipeline` flags a --config file may set besides PipelineConfig fields
+_PIPELINE_FLAGS = {"eta", "eta-sweep", "eta_sweep", "duration", "seed", "signals-out", "signals_out"}
+
+
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     m = _Merged(args)
+    unknown = sorted(set(m.config) - set(PipelineConfig.__dataclass_fields__) - _PIPELINE_FLAGS)
+    if unknown:
+        raise ValueError(f"{args.config}: unknown key {unknown[0]!r}")
     fields = {k: v for k, v in m.config.items() if k in PipelineConfig.__dataclass_fields__}
     fields["seed"] = m.seed()
     duration = m.get("duration", None, float)

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import json
 import struct
+from array import array
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .latency import FlowField, MotionSignal
-from .mapping import LinkSet
+from .mapping import LINKS, FrameRefused, validated_frames
 from .wire import BadMagic, ShortRead
 
 FLOW_MAGIC = b"XFLW"
@@ -146,18 +148,45 @@ def read_signal_csv(path) -> MotionSignal:
     return MotionSignal(v, 1.0 / dt_med, t0=float(t[0]))
 
 
-def write_linkset_jsonl(path, frames) -> None:
-    """frames: iterable of (timestamp_ns, LinkSet)."""
+class LinkStream(NamedTuple):
+    """A JSONL pose stream: one integer timestamp, one (6, 7) LinkSet
+    layout row of `poses` and one 1-based file line number per frame."""
+
+    stamps: list[int]
+    poses: np.ndarray  # (N, 6, 7) float64
+    lines: list[int]
+
+
+# One JSONL row as json.dumps(row, sort_keys=True) writes it: links by
+# sorted name, each {"p": [x, y, z], "q": [w, x, y, z]}, then the stamp.
+_ROW_ORDER = sorted(range(len(LINKS)), key=LINKS.__getitem__)
+_ROW_TEMPLATE = (
+    '{"links": {'
+    + ", ".join(f'"{LINKS[i]}": {{"p": [%r, %r, %r], "q": [%r, %r, %r, %r]}}' for i in _ROW_ORDER)
+    + '}, "timestamp_ns": %d}\n'
+)
+
+
+def write_linkset_jsonl(path, stamps, poses) -> None:
+    """One {"links", "timestamp_ns"} object per frame of an (N, 6, 7) array,
+    byte for byte as json.dumps(row, sort_keys=True) writes it."""
+    a = np.asarray(poses, dtype=float)
+    if a.ndim != 3 or a.shape[1:] != (len(LINKS), 7) or len(a) != len(stamps):
+        raise ValueError(f"poses shape {a.shape} for {len(stamps)} stamps, expected (N, {len(LINKS)}, 7)")
+    if not np.isfinite(a).all():
+        raise ValueError("non-finite pose value; JSON has no such number")
     with open(path, "w") as f:
-        for timestamp_ns, links in frames:
-            row = {"timestamp_ns": int(timestamp_ns), "links": links.to_dict()}
-            f.write(json.dumps(row, sort_keys=True) + "\n")
+        for stamp, frame in zip(stamps, a):
+            f.write(_ROW_TEMPLATE % (*frame[_ROW_ORDER].ravel().tolist(), stamp))
 
 
-def read_linkset_jsonl(path) -> list[tuple[int, LinkSet]]:
-    """One {"timestamp_ns", "links"} object per line; a malformed row raises
-    ValueError naming the file and line (invalid poses stay typed errors)."""
-    out = []
+def read_linkset_jsonl(path) -> LinkStream:
+    """One {"timestamp_ns", "links"} object per line, blank lines skipped.
+    A malformed row, or one whose poses mapping.validated_frames refuses,
+    raises ValueError naming the file and line."""
+    stamps: list[int] = []
+    lines: list[int] = []
+    values = array("d")
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -174,10 +203,23 @@ def read_linkset_jsonl(path) -> list[tuple[int, LinkSet]]:
                 stamp = row["timestamp_ns"]
                 if type(stamp) is not int:  # bool is an int subclass; 1.9 must not truncate
                     raise ValueError(f"timestamp_ns {stamp!r} is not a JSON integer")
-                out.append((stamp, LinkSet.from_dict(row["links"])))
+                links = row["links"]
+                for name in LINKS:
+                    p, q = links[name]["p"], links[name]["q"]
+                    if len(p) != 3 or len(q) != 4:
+                        raise ValueError(f"{name} needs 3 p and 4 q values, got {len(p)} and {len(q)}")
+                    values.extend(p)
+                    values.extend(q)
             except (ValueError, TypeError, KeyError, OverflowError) as exc:
                 raise ValueError(f"{where}: {type(exc).__name__}: {exc}") from None
-    return out
+            stamps.append(stamp)
+            lines.append(lineno)
+    raw = np.frombuffer(values, dtype=float).reshape(len(stamps), len(LINKS), 7)
+    try:
+        poses = validated_frames(raw)
+    except FrameRefused as exc:
+        raise ValueError(f"{path} line {lines[exc.index]}: {exc}") from None
+    return LinkStream(stamps, poses, lines)
 
 
 def dump_json(path, obj) -> None:

@@ -20,9 +20,14 @@ Frames:
 A LinkSet holds its six poses as one read-only (6, 7) float64 array, the
 wire layout: row i is link LINKS[i] (pelvis, torso, left_hand,
 right_hand, left_foot, right_foot), columns are the translation x, y, z
-in meters, then the unit quaternion w, x, y, z with w >= 0. map_frame
-reads those 42 values once and runs the retarget on plain floats through
-the se3 kernels; Pose and Rotation views are built only on request.
+in meters, then the unit quaternion w, x, y, z with w >= 0. A stream of
+N frames is the same layout stacked, an (N, 6, 7) array.
+
+The retarget algebra exists once, in _retarget_body, over the 42 values
+of a frame in that order. map_frame, the per-frame relay path, runs it
+on plain floats with the se3.qunit kernel; map_frames, the batch path,
+runs it on 42 (N,) columns with se3.qunit_columns. Both give the same
+bits. Pose and Rotation views are built only on request.
 """
 
 from __future__ import annotations
@@ -34,7 +39,19 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ExtremControlError
-from .se3 import Pose, Rotation, _locked, align_axis, qconj, qmul, qrotate, qunit, relative
+from .se3 import (
+    Pose,
+    Rotation,
+    ZeroVector,
+    _locked,
+    align_axis,
+    qconj,
+    qmul,
+    qrotate,
+    qunit,
+    qunit_columns,
+    relative,
+)
 
 LINKS = ("pelvis", "torso", "left_hand", "right_hand", "left_foot", "right_foot")
 SIDES = ("left", "right")
@@ -50,6 +67,15 @@ class DegenerateNeutral(ExtremControlError):
 
 class DegenerateHeadset(ExtremControlError):
     """Headset direction too short to define a torso axis."""
+
+
+class FrameRefused(ValueError):
+    """A batch refused frame `index` (its position in the batch); the
+    message says why."""
+
+    def __init__(self, index: int, reason: str) -> None:
+        super().__init__(reason)
+        self.index = index
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -131,6 +157,36 @@ def _validated(values: list) -> LinkSet:
         link = next(LINKS[i // 7] for i, v in enumerate(values) if not math.isfinite(v))
         raise ValueError(f"non-finite {link} translation")
     return _wrap(np.array(values, dtype=float).reshape(len(LINKS), 7))
+
+
+def _stream_shaped(a: np.ndarray) -> np.ndarray:
+    if a.ndim != 3 or a.shape[1:] != (len(LINKS), 7):
+        raise ValueError(f"frames array shape {a.shape}, expected (N, {len(LINKS)}, 7)")
+    return a
+
+
+def validated_frames(array) -> np.ndarray:
+    """An (N, 6, 7) stream validated as LinkSet.from_array validates each
+    frame, in one qunit_columns pass and one finiteness check. Returns a
+    new array with canonical quaternions; raises FrameRefused at the first
+    frame from_array would refuse, with the error it would raise."""
+    a = _stream_shaped(np.array(array, dtype=float))
+    n = refused = len(a)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # refused as non-finite norms
+            canonical = qunit_columns(*np.moveaxis(a[:, :, 3:], -1, 0))  # four (N, 6) views
+    except ZeroVector as exc:
+        refused, zero = exc.index // len(LINKS), exc
+    # from_array checks the quaternions of a frame before its translations
+    finite = np.isfinite(a[:refused, :, :3]).all(axis=2).ravel()
+    if not finite.all():
+        frame, link = divmod(int(np.argmin(finite)), len(LINKS))
+        raise FrameRefused(frame, f"ValueError: non-finite {LINKS[link]} translation")
+    if refused < n:
+        raise FrameRefused(refused, f"ZeroVector: {zero}")
+    for k, column in enumerate(canonical, start=3):
+        a[:, :, k] = column
+    return a
 
 
 @dataclass(frozen=True)
@@ -327,11 +383,49 @@ def calibrate(neutral: LinkSet, robot: RobotModel) -> CalibrationProfile:
     )
 
 
-def _compose(qa, ta, qb, tb) -> tuple:
-    """Pose product (qa, ta) * (qb, tb) on floats, as Pose.compose."""
+def _compose(qa, ta, qb, tb, unit) -> tuple:
+    """Pose product (qa, ta) * (qb, tb), as Pose.compose."""
     rx, ry, rz = qrotate(qa, tb)
     x, y, z = ta
-    return qmul(qa, qb), (x + rx, y + ry, z + rz)
+    return qmul(qa, qb, unit), (x + rx, y + ry, z + rz)
+
+
+def _retarget_body(constants: tuple, v, unit) -> list:
+    """The retarget of map_frame on the 42 values of a frame in row order,
+    floats or (N,) columns, with `unit` the matching se3 unit kernel.
+    Returns the 42 mapped values in the same order.
+
+    Runs the Pose algebra of the formulas operation for operation, so the
+    result is bit-identical to composing Poses."""
+    (qa, ta), s, pelvis_off, torso_off, pelvis_to_torso, hands, feet = constants
+    # Every link re-expressed in the calibration anchor frame.
+    local = [_compose(qa, ta, v[k + 3 : k + 7], v[k : k + 3], unit) for k in range(0, len(v), 7)]
+    (qp, tp), (qt, tt) = local[0], local[1]
+
+    pelvis_q = qmul(qp, pelvis_off, unit)
+    pelvis_t = (s * tp[0], s * tp[1], s * tp[2])
+    torso_q = qmul(qt, torso_off, unit)
+    r = qrotate(pelvis_q, pelvis_to_torso)
+    torso_t = (pelvis_t[0] + r[0], pelvis_t[1] + r[1], pelvis_t[2] + r[2])
+    out = [*pelvis_t, *pelvis_q, *torso_t, *torso_q]
+
+    # Hands: relative to the performer's torso, re-anchored and scaled.
+    inv_q = qconj(qt)
+    r = qrotate(inv_q, tt)
+    inv_t = (-r[0], -r[1], -r[2])
+    for (qh, th), (shoulder, ratio, robot_shoulder, off) in zip(local[2:4], hands):
+        rel_q, (x, y, z) = _compose(inv_q, inv_t, qh, th, unit)
+        anchored = (
+            (x - shoulder[0]) * ratio + robot_shoulder[0],
+            (y - shoulder[1]) * ratio + robot_shoulder[1],
+            (z - shoulder[2]) * ratio + robot_shoulder[2],
+        )
+        hand_q, hand_t = _compose(torso_q, torso_t, qmul(rel_q, off, unit), anchored, unit)
+        out += (*hand_t, *hand_q)
+
+    for (qf, (x, y, z)), (off, (dx, dy, dz)) in zip(local[4:], feet):
+        out += (s * x + dx, s * y + dy, s * z + dz, *qmul(qf, off, unit))
+    return out
 
 
 def map_frame(profile: CalibrationProfile, human: LinkSet) -> LinkSet:
@@ -343,43 +437,25 @@ def map_frame(profile: CalibrationProfile, human: LinkSet) -> LinkSet:
     retargeted torso-relative with shoulder re-anchoring and arm-length
     scaling. Orientations compose the performer's rotation with the
     calibrated offset. Stateless: same input frame, same output.
-
-    Runs the Pose algebra of the formulas above on plain floats, operation
-    for operation, so the result is bit-identical to composing Poses.
     """
-    (qa, ta), s, pelvis_off, torso_off, pelvis_to_torso, hands, feet = profile._retarget
-    v = human.array.ravel().tolist()
-    # Every link re-expressed in the calibration anchor frame.
-    local = [_compose(qa, ta, v[k + 3 : k + 7], v[k : k + 3]) for k in range(0, len(v), 7)]
-    (qp, tp), (qt, tt) = local[0], local[1]
-
-    pelvis_q = qmul(qp, pelvis_off)
-    pelvis_t = (s * tp[0], s * tp[1], s * tp[2])
-    torso_q = qmul(qt, torso_off)
-    r = qrotate(pelvis_q, pelvis_to_torso)
-    torso_t = (pelvis_t[0] + r[0], pelvis_t[1] + r[1], pelvis_t[2] + r[2])
-    out = [*pelvis_t, *pelvis_q, *torso_t, *torso_q]
-
-    # Hands: relative to the performer's torso, re-anchored and scaled.
-    inv_q = qconj(qt)
-    r = qrotate(inv_q, tt)
-    inv_t = (-r[0], -r[1], -r[2])
-    for (qh, th), (shoulder, ratio, robot_shoulder, off) in zip(local[2:4], hands):
-        rel_q, (x, y, z) = _compose(inv_q, inv_t, qh, th)
-        anchored = (
-            (x - shoulder[0]) * ratio + robot_shoulder[0],
-            (y - shoulder[1]) * ratio + robot_shoulder[1],
-            (z - shoulder[2]) * ratio + robot_shoulder[2],
-        )
-        hand_q, hand_t = _compose(torso_q, torso_t, qmul(rel_q, off), anchored)
-        out += (*hand_t, *hand_q)
-
-    for (qf, (x, y, z)), (off, (dx, dy, dz)) in zip(local[4:], feet):
-        out += (s * x + dx, s * y + dy, s * z + dz, *qmul(qf, off))
-
+    out = _retarget_body(profile._retarget, human.array.ravel().tolist(), qunit)
     if not all(map(math.isfinite, out)):
         raise ValueError("non-finite mapped translation")
     return _wrap(np.array(out, dtype=float).reshape(len(LINKS), 7))
+
+
+def map_frames(profile: CalibrationProfile, poses: np.ndarray) -> np.ndarray:
+    """map_frame over a whole validated (N, 6, 7) stream in one pass (see
+    validated_frames); row k equals map_frame of frame k bit for bit.
+    Raises FrameRefused at the first frame with a non-finite result."""
+    a = _stream_shaped(np.asarray(poses, dtype=float))
+    columns = list(a.reshape(len(a), len(LINKS) * 7).T)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        out = np.stack(_retarget_body(profile._retarget, columns, qunit_columns), axis=1)
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        raise FrameRefused(int(np.argmin(finite)), "non-finite mapped translation")
+    return out.reshape(a.shape)
 
 
 def torso_from_headset(pelvis: Pose, headset_position: np.ndarray) -> Rotation:

@@ -9,12 +9,16 @@ Conventions:
 
 All types are immutable; every operation returns a new value.
 
-The arithmetic lives in three plain-float kernels, ``qmul`` (Hamilton
-product), ``qrotate`` and ``qconj``, plus ``qunit``, the one rule that
-validates and canonicalizes a quaternion. ``Rotation`` and ``Pose`` call
-them, and so does ``mapping.map_frame``, which runs on bare floats to
-avoid building per-link objects on the per-frame path. Quaternions are
-tuples ``(w, x, y, z)``, vectors ``(x, y, z)``.
+The arithmetic lives in three kernels, ``qmul`` (Hamilton product),
+``qrotate`` and ``qconj``, plus ``qunit``, the one rule that validates
+and canonicalizes a quaternion. Quaternions are tuples ``(w, x, y, z)``,
+vectors ``(x, y, z)``; each component is a float, or all are equal-shape
+float arrays ("columns"). The product, rotation and conjugate are the
+same code on both. Only the canonicalizing unit step needs an array form,
+``qunit_columns``, which ``qmul`` takes as its ``unit`` argument.
+``Rotation`` and ``Pose`` call the float kernels; ``mapping`` runs one
+retarget body on floats per frame (``map_frame``) and on columns per
+stream (``map_frames``).
 """
 
 from __future__ import annotations
@@ -30,7 +34,12 @@ _UNIT_EPS = 1e-12
 
 
 class ZeroVector(ExtremControlError):
-    """A direction argument was too short to normalize."""
+    """A direction argument was too short to normalize. When qunit_columns
+    raises it, `index` is the flat position of the first refused element."""
+
+    def __init__(self, message: str, index: int | None = None) -> None:
+        super().__init__(message)
+        self.index = index
 
 
 def _locked(a: np.ndarray) -> np.ndarray:
@@ -56,11 +65,30 @@ def qunit(w: float, x: float, y: float, z: float) -> tuple:
     return (w, x, y, z)
 
 
-def qmul(a, b) -> tuple:
-    """Hamilton product a * b (b applied first), canonicalized by qunit."""
+def qunit_columns(w, x, y, z) -> tuple:
+    """qunit element by element over equal-shape float arrays, bit for bit:
+    the same norm, the same 1e-12 pass-through, the same sign flip. Raises
+    ZeroVector, with the flat index of the first refused element."""
+    norm = np.sqrt(w * w + x * x + y * y + z * z)
+    ok = (norm > _UNIT_EPS) & (norm < math.inf)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ZeroVector(f"quaternion norm {norm.flat[i]} is not normalizable", index=i)
+    off = np.abs(norm - 1.0) > _UNIT_EPS
+    if off.any():
+        w, x, y, z = (np.where(off, c / norm, c) for c in (w, x, y, z))
+    flip = w < 0.0
+    if flip.any():
+        w, x, y, z = (np.where(flip, -c, c) for c in (w, x, y, z))
+    return (w, x, y, z)
+
+
+def qmul(a, b, unit=qunit) -> tuple:
+    """Hamilton product a * b (b applied first), canonicalized by `unit`:
+    qunit on floats, qunit_columns when either factor holds columns."""
     w1, x1, y1, z1 = a
     w2, x2, y2, z2 = b
-    return qunit(
+    return unit(
         w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
         w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
         w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,

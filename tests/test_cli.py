@@ -17,7 +17,7 @@ import extremctl
 from extremctl import fileio
 from extremctl.cli import _parse_etas, _parse_reference, main
 from extremctl.latency import MotionSignal
-from extremctl.mapping import CalibrationProfile, LinkSet, RobotModel, calibrate, map_frame
+from extremctl.mapping import LINKS, CalibrationProfile, LinkSet, RobotModel, calibrate, map_frame
 from extremctl.pipeline import MotionSpec, default_human_neutral, default_robot_model
 from extremctl.plant import GainSchedule, make_sinusoid, plant_from_dict, run_episode
 from extremctl.se3 import Pose, Rotation
@@ -56,7 +56,8 @@ def write_mapping_inputs(d):
         (100_000_000 * k, human.with_pose("left_hand", Pose(ident, np.array([0.6, 0.2 + 0.01 * k, 1.3]))))
         for k in range(3)
     ]
-    fileio.write_linkset_jsonl(str(d / "frames.jsonl"), frames)
+    fileio.write_linkset_jsonl(str(d / "frames.jsonl"), [ts for ts, _ in frames],
+                               np.stack([links.array for _, links in frames]))
     return robot, human, frames
 
 
@@ -174,14 +175,93 @@ def test_map_preserves_timestamps_and_matches_library(tmp_path):
                "--frames", str(tmp_path / "frames.jsonl"), "--out", str(out)])
     assert rc == 0
     mapped = fileio.read_linkset_jsonl(str(out))
-    assert [ts for ts, _ in mapped] == [0, 100_000_000, 200_000_000]
+    assert mapped.stamps == [0, 100_000_000, 200_000_000]
     prof = CalibrationProfile.from_dict(fileio.load_json(str(profile_path)))
-    for (_, got), (_, raw) in zip(mapped, frames):
-        want = map_frame(prof, raw)
+    for got, (_, raw) in zip(mapped.poses, frames):
+        got, want = LinkSet.from_array(got), map_frame(prof, raw)
         for name in ("pelvis", "torso", "left_hand", "right_hand", "left_foot", "right_foot"):
             # repr-float JSON keeps the round trip bit exact
             assert np.array_equal(getattr(got, name).translation, getattr(want, name).translation)
             assert np.array_equal(getattr(got, name).rotation.q, getattr(want, name).rotation.q)
+
+
+def _calibrated_profile(tmp_path):
+    write_mapping_inputs(tmp_path)
+    profile = tmp_path / "profile.json"
+    assert main(["calibrate-map", "--neutral", str(tmp_path / "neutral.json"),
+                 "--robot", str(tmp_path / "robot.json"), "--out", str(profile)]) == 0
+    return profile
+
+
+def _moving_frames(rng, n):
+    """make_human with every link moved and turned a little, as a (n, 6, 7) array."""
+    human = make_human()
+    return np.stack([
+        human.transform(lambda p: Pose(
+            Rotation.from_axis_angle(rng.normal(size=3), rng.uniform(-0.5, 0.5)).compose(p.rotation),
+            p.translation + rng.normal(scale=0.05, size=3))).array
+        for _ in range(n)
+    ])
+
+
+def test_map_output_is_json_dumps_of_each_row(tmp_path):
+    profile = _calibrated_profile(tmp_path)
+    rng = np.random.default_rng(40)
+    poses = _moving_frames(rng, 40)
+    stamps = [0, -3, 2**64 - 1] + [int(t) for t in rng.integers(0, 2**62, size=37)]
+    frames = tmp_path / "moving.jsonl"
+    fileio.write_linkset_jsonl(str(frames), stamps, poses)
+    out = tmp_path / "mapped.jsonl"
+    assert main(["map", "--profile", str(profile), "--frames", str(frames), "--out", str(out)]) == 0
+
+    prof = CalibrationProfile.from_dict(fileio.load_json(str(profile)))
+    want = "".join(
+        json.dumps({"links": map_frame(prof, LinkSet.from_array(a)).to_dict(), "timestamp_ns": ts},
+                   sort_keys=True) + "\n"
+        for ts, a in zip(stamps, poses)
+    )
+    assert out.read_text() == want
+
+
+def test_map_refused_frame_leaves_no_output_and_names_its_line(tmp_path, capsys):
+    """Line 701 holds a hand at 1.7e308 m, whose retarget overflows; the
+    blank line 3 makes it frame 699. The stream maps before --out opens."""
+    profile = _calibrated_profile(tmp_path)
+    poses = _moving_frames(np.random.default_rng(41), 710)
+    poses[699, LINKS.index("left_hand"), :3] = 1.7e308
+    frames = tmp_path / "frames.jsonl"
+    fileio.write_linkset_jsonl(str(frames), list(range(710)), poses)
+    rows = frames.read_text().splitlines(keepends=True)
+    frames.write_text("".join(rows[:2] + ["\n"] + rows[2:]))
+    out = tmp_path / "mapped.jsonl"
+    assert main(["map", "--profile", str(profile), "--frames", str(frames), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    diag = json.loads(err)
+    assert diag["error"] == "ValueError"
+    assert diag["message"] == f"{frames} line 701: non-finite mapped translation"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, bad", [("calibrate-map", "neutral"), ("calibrate-map", "robot"),
+                                          ("map", "profile")])
+def test_mapping_input_file_not_an_object_exits_one_naming_file(tmp_path, capsys, command, bad):
+    profile = _calibrated_profile(tmp_path)
+    fileio.dump_json(str(tmp_path / "bad.json"), [1.0])
+    files = {"neutral": tmp_path / "neutral.json", "robot": tmp_path / "robot.json",
+             "profile": profile, "frames": tmp_path / "frames.jsonl", bad: tmp_path / "bad.json"}
+    flags = ("neutral", "robot") if command == "calibrate-map" else ("profile", "frames")
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out)]
+    for flag in flags:
+        argv += [f"--{flag}", str(files[flag])]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    diag = json.loads(err)
+    assert diag["error"] == "ValueError"
+    assert "bad.json" in diag["message"] and "JSON object" in diag["message"]
+    assert not out.exists()
 
 
 # ------------------------------------------------------- episode commands
@@ -381,6 +461,22 @@ def test_pipeline_records_eta_and_motion_and_replays_own_config(tmp_path):
     assert main(["pipeline", "--config", str(tmp_path / "replay_cfg.json"),
                  "--out", str(replay)]) == 0
     assert replay.read_bytes() == custom.read_bytes()
+
+
+def test_pipeline_config_unknown_key_exits_one_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    fileio.dump_json(str(cfg), {"omegan": 5, "duration_s": 5})
+    out = tmp_path / "run.json"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ValueError" and "unknown key 'omegan'" in diag["message"]
+    assert not out.exists()
+    # Flag names are config keys too, in either spelling.
+    fileio.dump_json(str(cfg), {"duration": 5, "eta_sweep": "0,0.9", "signals-out": str(tmp_path / "sig"),
+                                "seed": 2, "eta": 0.5, "omega_n": 5})
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    report = fileio.load_json(str(out))
+    assert report["config"]["omega_n"] == 5 and len(report["budgets"]) == 2
 
 
 def test_pipeline_infinite_duration_exits_one_naming_field(tmp_path, capsys):

@@ -128,11 +128,12 @@ def test_linkset_jsonl_round_trip(tmp_path):
         (1_000_000 * k, LinkSet(**{n: pose() for n in names})) for k in range(4)
     ]
     path = tmp_path / "stream.jsonl"
-    write_linkset_jsonl(path, frames)
+    write_linkset_jsonl(path, [ts for ts, _ in frames], np.stack([links.array for _, links in frames]))
     back = read_linkset_jsonl(path)
-    assert len(back) == 4
-    for (ts_a, links_a), (ts_b, links_b) in zip(frames, back):
-        assert ts_a == ts_b
+    assert back.stamps == [ts for ts, _ in frames] and back.lines == [1, 2, 3, 4]
+    assert back.poses.shape == (4, 6, 7)
+    for (_, links_a), pose_b in zip(frames, back.poses):
+        links_b = LinkSet.from_array(pose_b)
         for name in names:
             pa, pb = getattr(links_a, name), getattr(links_b, name)
             assert np.array_equal(pa.translation, pb.translation)
@@ -194,7 +195,7 @@ def test_linkset_jsonl_timestamp_must_be_a_json_integer(tmp_path):
             read_linkset_jsonl(path)
     for stamp in (0, -3, 2**64 - 1):
         path.write_text(json.dumps({"timestamp_ns": stamp, "links": links}) + "\n")
-        ((got, _),) = read_linkset_jsonl(path)
+        (got,) = read_linkset_jsonl(path).stamps
         assert type(got) is int and got == stamp
 
 

@@ -8,12 +8,15 @@ from extremctl.mapping import (
     LINKS,
     DegenerateHeadset,
     DegenerateNeutral,
+    FrameRefused,
     LinkSet,
     RobotModel,
     calibrate,
     heading_anchor,
     map_frame,
+    map_frames,
     torso_from_headset,
+    validated_frames,
 )
 from extremctl.se3 import Pose, Rotation, ZeroVector, relative
 from extremctl.wire import PoseFrame, decode_frame, encode_frame
@@ -356,6 +359,56 @@ def test_map_frame_bit_identical_to_pose_algebra():
             assert np.array_equal(back.links.array, got.array)
             frames += 1
     assert frames == 240
+
+
+def test_map_frames_equals_stacked_map_frame():
+    robot = make_robot()
+    rng = np.random.default_rng(38)
+    base = make_human(pelvis_z=0.96, hand_local=(0.55, 0.22, 0.28), foot_local=(0.02, 0.11, 0.015))
+    for _ in range(3):
+        yaw = rng.uniform(-np.pi, np.pi)
+        origin = np.array([rng.uniform(-3, 3), rng.uniform(-3, 3), 0.0])
+        neutral = base.transform(
+            lambda p: yawed(Pose(p.rotation.compose(random_rotation(rng, 0.1)), p.translation),
+                            yaw, origin)
+        )
+        prof = calibrate(neutral, robot)
+        frames = list(random_frames(rng, neutral, 60))
+        poses = np.stack([f.array for f in frames])
+        want = np.stack([map_frame(prof, f).array for f in frames])
+        assert np.array_equal(map_frames(prof, poses), want)
+        assert map_frames(prof, poses[:0]).shape == (0, 6, 7)
+        poses[41, LINKS.index("left_hand"), :3] = 1.7e308
+        with pytest.raises(ValueError, match="non-finite mapped translation"):
+            map_frame(prof, LinkSet.from_array(poses[41]))
+        with pytest.raises(FrameRefused, match="non-finite mapped translation") as exc:
+            map_frames(prof, poses)
+        assert exc.value.index == 41
+
+
+def test_validated_frames_equals_stacked_from_array():
+    rng = np.random.default_rng(39)
+    a = rng.normal(size=(50, 6, 7))
+    a[::2, :, 3:] /= np.linalg.norm(a[::2, :, 3:], axis=2, keepdims=True)
+    got = validated_frames(a)
+    assert np.array_equal(got, np.stack([LinkSet.from_array(f).array for f in a]))
+    assert validated_frames(a[:0]).shape == (0, 6, 7)
+    # The first refused frame wins; within a frame, quaternions are checked first.
+    for frame, where, bad, reason in [
+        (7, np.s_[2, 3:], 0.0, "ZeroVector: quaternion norm 0.0"),
+        (7, np.s_[3, 1], np.inf, "ValueError: non-finite right_hand translation"),
+        (9, np.s_[0, 5], np.nan, "ZeroVector: quaternion norm nan"),
+    ]:
+        b = a.copy()
+        b[frame][where] = bad
+        b[frame + 3, 0, 0] = np.inf
+        with pytest.raises(FrameRefused, match=reason) as exc:
+            validated_frames(b)
+        assert exc.value.index == frame
+    b = a.copy()
+    b[5, 0, 0], b[5, 4, 3:] = np.inf, 0.0
+    with pytest.raises(FrameRefused, match="ZeroVector"):
+        validated_frames(b)
 
 
 def test_linkset_array_is_one_read_only_layout():

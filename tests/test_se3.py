@@ -8,6 +8,8 @@ from extremctl.se3 import (
     Rotation,
     ZeroVector,
     align_axis,
+    qunit,
+    qunit_columns,
     relative,
 )
 
@@ -153,6 +155,23 @@ def test_align_axis_zero_vector():
 def test_rotation_rejects_zero_quaternion():
     with pytest.raises(ZeroVector):
         Rotation(np.zeros(4))
+
+
+def test_qunit_columns_is_qunit_element_by_element():
+    rng = np.random.default_rng(21)
+    q = rng.normal(size=(200, 4))
+    q[::3] /= np.linalg.norm(q[::3], axis=1, keepdims=True)  # unit, either sign of w
+    q[1::6] *= 1.0 + rng.uniform(-0.9e-12, 0.9e-12, size=(len(q[1::6]), 1))  # passes through
+    q[5] = [-0.0, 1.0, 0.0, 0.0]
+    q[7] = [-1.0, -0.0, 0.0, 0.0]
+    got = np.stack(qunit_columns(*q.T), axis=1)
+    want = np.array([qunit(*row) for row in q.tolist()])
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    for bad in (0.0, np.nan, np.inf):
+        q[123] = [bad, 0.0, 0.0, 0.0]
+        with pytest.raises(ZeroVector) as exc:
+            qunit_columns(*q.T)
+        assert exc.value.index == 123
 
 
 def test_json_round_trip():
