@@ -6,8 +6,8 @@ Run:  python3 demos/01_pose_mapping.py
 
 import numpy as np
 
-from extremctl.mapping import LinkSet, RobotModel, calibrate, map_frame
-from extremctl.se3 import Pose, Rotation
+from extremctl.mapping import LINKS, LinkSet, RobotModel, calibrate, map_frame
+from extremctl.se3 import qaxis_angle
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -23,16 +23,17 @@ print("robot pelvis height:", robot.pelvis_height, "m; arm:", robot.arm_length["
 
 # ===== 2. the performer stands still for one frame =====
 # A 1.0 m pelvis and 0.6 m reach: noticeably larger than the robot.
-ident = Rotation.identity()
-pelvis = Pose(ident, np.array([0.0, 0.0, 1.0]))
-neutral = LinkSet(
-    pelvis=pelvis,
-    torso=pelvis,
-    left_hand=Pose(ident, np.array([0.6, 0.2, 1.3])),
-    right_hand=Pose(ident, np.array([0.6, -0.2, 1.3])),
-    left_foot=Pose(ident, np.array([0.0, 0.1, 0.02])),
-    right_foot=Pose(ident, np.array([0.0, -0.1, 0.02])),
-)
+# One row per link in LINKS order: translation x, y, z, then the
+# orientation quaternion w, x, y, z (identity here).
+ident = [1.0, 0.0, 0.0, 0.0]
+neutral = LinkSet.from_array([
+    [0.0, 0.0, 1.0, *ident],    # pelvis
+    [0.0, 0.0, 1.0, *ident],    # torso
+    [0.6, 0.2, 1.3, *ident],    # left_hand
+    [0.6, -0.2, 1.3, *ident],   # right_hand
+    [0.0, 0.1, 0.02, *ident],   # left_foot
+    [0.0, -0.1, 0.02, *ident],  # right_foot
+])
 profile = calibrate(neutral, robot)
 print("\ncalibrated   scale:", profile.pelvis_height, "->", robot.pelvis_height,
       "(ratio", robot.pelvis_height / profile.pelvis_height, ")")
@@ -41,31 +42,30 @@ print("measured arm length:", profile.arm_length["right"], "m")
 # ===== 3. the neutral pose must map to the robot's own neutral =====
 mapped = map_frame(profile, neutral)
 want = robot.neutral_links()
-err = max(
-    np.abs(mapped.pose(n).translation - want.pose(n).translation).max()
-    for n in ("pelvis", "torso", "left_hand", "right_hand", "left_foot", "right_foot")
-)
+err = np.abs(mapped.array[:, :3] - want.array[:, :3]).max()
 print("\nneutral reproduction error:", err, "m  (closed form, not fitted)")
 
 # ===== 4. now move: reach forward and crouch a little =====
-frame = neutral.with_pose(
-    "right_hand", Pose(ident, np.array([0.85, -0.25, 1.15]))
-).with_pose(
-    "pelvis", Pose(Rotation.about_z(0.3), np.array([0.0, 0.0, 0.92]))
-)
+rows = neutral.array.copy()
+rows[LINKS.index("right_hand")] = [0.85, -0.25, 1.15, *ident]
+rows[LINKS.index("pelvis")] = [0.0, 0.0, 0.92, *qaxis_angle((0.0, 0.0, 1.0), 0.3)]
+frame = LinkSet.from_array(rows)
 out = map_frame(profile, frame)
-print("\nperformer hand moved to", frame.right_hand.translation)
-print("robot hand target      ", out.right_hand.translation)
-print("robot pelvis target    ", out.pelvis.translation,
-      "(0.92 m crouch scaled to", out.pelvis.translation[2], "m)")
+hand, pelvis = LINKS.index("right_hand"), LINKS.index("pelvis")
+print("\nperformer hand moved to", frame.array[hand, :3])
+print("robot hand target      ", out.array[hand, :3])
+print("robot pelvis target    ", out.array[pelvis, :3],
+      "(0.92 m crouch scaled to", out.array[pelvis, 2], "m)")
 
 # ===== 5. a taller performer making the same relative motion =====
 # Uniform body scale calibrates away: the robot does the same thing.
-grow = lambda p: Pose(p.rotation, p.translation * 1.25)
-tall_profile = calibrate(neutral.transform(grow), robot)
-tall_out = map_frame(tall_profile, frame.transform(grow))
-gap = max(
-    np.abs(tall_out.pose(n).translation - out.pose(n).translation).max()
-    for n in ("pelvis", "torso", "left_hand", "right_hand", "left_foot", "right_foot")
-)
+def grow(links):
+    rows = links.array.copy()
+    rows[:, :3] *= 1.25
+    return LinkSet.from_array(rows)
+
+
+tall_profile = calibrate(grow(neutral), robot)
+tall_out = map_frame(tall_profile, grow(frame))
+gap = np.abs(tall_out.array[:, :3] - out.array[:, :3]).max()
 print("\nsame motion from a 25% taller performer: target gap", gap, "m")

@@ -7,7 +7,7 @@ harness tying them together.
 """
 
 from .errors import ExtremControlError
-from .se3 import Pose, Rotation, ZeroVector, align_axis, relative
+from .se3 import ZeroVector, align_axis
 from .mapping import (
     LINKS,
     CalibrationProfile,

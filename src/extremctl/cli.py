@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dq", type=float, help="release perturbation rad")
     p.add_argument("--window", type=float, help="measurement window s")
     p.add_argument("--sweeps", type=int, help="max calibration sweeps")
-    p.add_argument("--tol", type=float, help="relative gain convergence tolerance")
+    p.add_argument("--tol", type=float, help="fractional gain convergence tolerance")
 
     p = add("simulate", "closed-loop episode under held targets")
     p.add_argument("--plant", help="plant model JSON")

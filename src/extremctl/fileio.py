@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .latency import FlowField, MotionSignal
-from .mapping import LINKS, FrameRefused, validated_frames
+from .mapping import LINKS, FrameRefused, links_row, validated_frames
 from .wire import BadMagic, ShortRead
 
 FLOW_MAGIC = b"XFLW"
@@ -181,9 +181,10 @@ def write_linkset_jsonl(path, stamps, poses) -> None:
 
 
 def read_linkset_jsonl(path) -> LinkStream:
-    """One {"timestamp_ns", "links"} object per line, blank lines skipped.
-    A malformed row, or one whose poses mapping.validated_frames refuses,
-    raises ValueError naming the file and line."""
+    """One {"timestamp_ns", "links"} object per line, blank lines skipped;
+    the links are read by mapping.links_row. A malformed row, or one
+    whose poses mapping.validated_frames refuses, raises ValueError naming
+    the file and line."""
     stamps: list[int] = []
     lines: list[int] = []
     values = array("d")
@@ -203,14 +204,8 @@ def read_linkset_jsonl(path) -> LinkStream:
                 stamp = row["timestamp_ns"]
                 if type(stamp) is not int:  # bool is an int subclass; 1.9 must not truncate
                     raise ValueError(f"timestamp_ns {stamp!r} is not a JSON integer")
-                links = row["links"]
-                for name in LINKS:
-                    p, q = links[name]["p"], links[name]["q"]
-                    if len(p) != 3 or len(q) != 4:
-                        raise ValueError(f"{name} needs 3 p and 4 q values, got {len(p)} and {len(q)}")
-                    values.extend(p)
-                    values.extend(q)
-            except (ValueError, TypeError, KeyError, OverflowError) as exc:
+                values.extend(links_row(row["links"]))
+            except (ValueError, KeyError) as exc:
                 raise ValueError(f"{where}: {type(exc).__name__}: {exc}") from None
             stamps.append(stamp)
             lines.append(lineno)

@@ -59,7 +59,7 @@ class CalibrationConfig:
     perturbation: float = 0.05  # rad, release offset
     measure_window: float = 10.0  # s
     sweeps: int = 3
-    convergence_tol: float = 0.02  # max relative kp change per sweep
+    convergence_tol: float = 0.02  # max fractional kp change per sweep
 
     def __post_init__(self) -> None:
         _check_finite_positive(
@@ -309,7 +309,7 @@ def calibrate_chain(
     KP_SAMPLE_RANGE times the joint's current kp, average the resulting
     inertias, and refresh (kp, kd) in place so later (more proximal)
     joints are measured against already-calibrated distal loops. Stops
-    early once the largest relative kp change over a sweep drops below
+    early once the largest fractional kp change over a sweep drops below
     convergence_tol; otherwise runs config.sweeps and returns
     converged=False.
     """

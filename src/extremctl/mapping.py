@@ -4,7 +4,7 @@ A one-shot calibration against a prescribed standing pose (arms forward
 along +x, feet on the ground) measures the performer's pelvis height,
 arm lengths, shoulder anchors, and per-link rotation offsets. Per-frame
 mapping then scales pelvis and feet by the height ratio, anchors the
-torso on the mapped pelvis, and retargets hands relative to the torso
+torso on the mapped pelvis, and retargets hands in the torso frame
 with arm-length scaling, so extremity targets stay reachable on a robot
 with different proportions.
 
@@ -27,12 +27,18 @@ The retarget algebra exists once, in _retarget_body, over the 42 values
 of a frame in that order. map_frame, the per-frame relay path, runs it
 on plain floats with the se3.qunit kernel; map_frames, the batch path,
 runs it on 42 (N,) columns with se3.qunit_columns. Both give the same
-bits. Pose and Rotation views are built only on request.
+bits. Calibration runs the same se3 kernels on the rows of one frame; a
+pose outside a LinkSet is a (q, t) pair of tuples, as in se3.
+
+Every pose read from JSON, in a LinkSet, a profile or a JSONL stream,
+is read as pose_row reads it: an object {"p": 3 numbers, "q": 4 numbers}.
+links_row reads the six of a frame.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,17 +46,16 @@ import numpy as np
 
 from .errors import ExtremControlError
 from .se3 import (
-    Pose,
-    Rotation,
     ZeroVector,
-    _locked,
     align_axis,
+    pinv,
+    pmul,
+    qaxis_angle,
     qconj,
     qmul,
     qrotate,
     qunit,
     qunit_columns,
-    relative,
 )
 
 LINKS = ("pelvis", "torso", "left_hand", "right_hand", "left_foot", "right_foot")
@@ -78,50 +83,92 @@ class FrameRefused(ValueError):
         self.index = index
 
 
+_JSON_NUMBER = frozenset((int, float))  # bool, str and None are refused
+_FLOAT = frozenset((float,))
+
+
+def _numbers(value, n: int, where: str) -> list:
+    """A JSON list of n numbers as n floats; anything else raises
+    ValueError naming `where`."""
+    if type(value) is list and len(value) == n and set(map(type, value)) <= _JSON_NUMBER:
+        try:
+            return list(map(float, value))
+        except OverflowError:
+            pass
+    raise ValueError(f"{where} must be a list of {n} numbers")
+
+
+def _number(value, where: str) -> float:
+    """A JSON number as a float; anything else raises ValueError naming `where`."""
+    if type(value) in _JSON_NUMBER:
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{where} must be a number")
+
+
+def _entry(d, key: str, where: str):
+    """d[key], where `d` is the JSON object read as `where`."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, not {type(d).__name__}")
+    if key not in d:
+        raise ValueError(f"{where} has no {key!r}")
+    return d[key]
+
+
+def _sides(d, key: str, where: str) -> dict:
+    """d[key]["left"] and d[key]["right"]."""
+    per_side = _entry(d, key, where)
+    return {side: _entry(per_side, side, key) for side in SIDES}
+
+
+def pose_row(d, link: str) -> list:
+    """The 7 floats, translation then quaternion, of one pose object
+    {"p": 3 numbers, "q": 4 numbers}; anything else raises ValueError
+    naming `link`. Values are checked by the caller (se3.qunit, finite
+    translations)."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{link} must be an object with p and q, not {type(d).__name__}")
+    return _numbers(d.get("p"), 3, f"{link} p") + _numbers(d.get("q"), 4, f"{link} q")
+
+
+def links_row(d) -> list:
+    """The 42 floats, in LINKS order, of a {link: pose object} mapping,
+    each pose read as pose_row reads it. A frame of plain floats takes one
+    type check; anything else goes through pose_row link by link."""
+    row = []
+    try:
+        for name in LINKS:
+            pose = d[name]
+            p, q = pose["p"], pose["q"]
+            if len(p) != 3 or len(q) != 4:
+                break
+            row += p
+            row += q
+        else:
+            if set(map(type, row)) == _FLOAT:
+                return row
+    except (TypeError, KeyError):
+        pass
+    return [v for name in LINKS for v in pose_row(_entry(d, name, "links"), name)]
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class LinkSet:
-    """One pose per tracked link, as a read-only (6, 7) array (see module doc).
-
-    LinkSet(pelvis, torso, left_hand, right_hand, left_foot, right_foot)
-    takes Poses, positionally or by name; from_array takes the array.
-    """
+    """One pose per tracked link, as a read-only (6, 7) array (see module
+    doc). Built by from_array or from_dict, which validate it."""
 
     array: np.ndarray
 
-    def __init__(self, pelvis: Pose, torso: Pose, left_hand: Pose, right_hand: Pose,
-                 left_foot: Pose, right_foot: Pose) -> None:
-        poses = (pelvis, torso, left_hand, right_hand, left_foot, right_foot)
-        rows = [p.translation.tolist() + p.rotation.q.tolist() for p in poses]
-        object.__setattr__(self, "array", _locked(np.array(rows)))
-
     @staticmethod
     def from_array(array) -> "LinkSet":
-        """Validate a (6, 7) array as the Pose and Rotation constructors do:
-        finite translations, each quaternion through se3.qunit."""
+        """Validate a (6, 7) array: finite translations, each quaternion
+        through se3.qunit."""
         a = np.asarray(array, dtype=float)
         if a.shape != (len(LINKS), 7):
             raise ValueError(f"LinkSet array shape {a.shape}, expected ({len(LINKS)}, 7)")
         return _validated(a.ravel().tolist())
-
-    pelvis = property(lambda self: self.pose("pelvis"))
-    torso = property(lambda self: self.pose("torso"))
-    left_hand = property(lambda self: self.pose("left_hand"))
-    right_hand = property(lambda self: self.pose("right_hand"))
-    left_foot = property(lambda self: self.pose("left_foot"))
-    right_foot = property(lambda self: self.pose("right_foot"))
-
-    def pose(self, link: str) -> Pose:
-        row = self.array[_row(link)]
-        return Pose(Rotation(row[3:]), row[:3])
-
-    def with_pose(self, link: str, pose: Pose) -> "LinkSet":
-        a = self.array.copy()
-        a[_row(link)] = pose.translation.tolist() + pose.rotation.q.tolist()
-        return _wrap(a)
-
-    def transform(self, fn) -> "LinkSet":
-        """Apply a Pose -> Pose function to every link."""
-        return LinkSet(*(fn(self.pose(name)) for name in LINKS))
 
     def to_dict(self) -> dict:
         rows = self.array.tolist()
@@ -129,9 +176,7 @@ class LinkSet:
 
     @staticmethod
     def from_dict(d: dict) -> "LinkSet":
-        p = np.array([d[name]["p"] for name in LINKS], dtype=float).reshape(len(LINKS), 3)
-        q = np.array([d[name]["q"] for name in LINKS], dtype=float).reshape(len(LINKS), 4)
-        return LinkSet.from_array(np.concatenate([p, q], axis=1))
+        return _validated(links_row(d))
 
 
 def _row(link: str) -> int:
@@ -143,8 +188,9 @@ def _row(link: str) -> int:
 
 def _wrap(a: np.ndarray) -> LinkSet:
     """A LinkSet around an array that already holds valid poses."""
+    a.setflags(write=False)
     links = object.__new__(LinkSet)
-    object.__setattr__(links, "array", _locked(a))
+    object.__setattr__(links, "array", a)
     return links
 
 
@@ -189,6 +235,10 @@ def validated_frames(array) -> np.ndarray:
     return a
 
 
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class RobotModel:
     """Fixed robot geometry. Lengths in meters, model frame as above."""
@@ -200,27 +250,37 @@ class RobotModel:
     neutral_foot: dict[str, tuple[float, float, float]]
 
     def __post_init__(self) -> None:
-        if self.pelvis_height <= 0:
-            raise ValueError(f"pelvis_height {self.pelvis_height} must be positive")
+        """Refuses a value that is not a finite number, naming its field;
+        stores the vectors as tuples and the lengths as floats."""
+        vectors = {"pelvis_to_torso": self.pelvis_to_torso}
         for side in SIDES:
-            if self.arm_length[side] <= 0:
-                raise ValueError(f"{side} arm_length must be positive")
+            vectors[f"shoulder_offset {side}"] = self.shoulder_offset[side]
+            vectors[f"neutral_foot {side}"] = self.neutral_foot[side]
+        for name, v in vectors.items():
+            if not (isinstance(v, (list, tuple, np.ndarray)) and len(v) == 3
+                    and all(map(_real, v))):
+                raise ValueError(f"{name} {v!r} must be 3 finite numbers")
+        lengths = {"pelvis_height": self.pelvis_height}
+        lengths.update({f"{side} arm_length": self.arm_length[side] for side in SIDES})
+        for name, v in lengths.items():
+            if not (_real(v) and v > 0):
+                raise ValueError(f"{name} {v!r} must be a positive finite number")
+        set_ = object.__setattr__
+        set_(self, "pelvis_height", float(self.pelvis_height))
+        set_(self, "pelvis_to_torso", tuple(self.pelvis_to_torso))
+        set_(self, "shoulder_offset", {s: tuple(self.shoulder_offset[s]) for s in SIDES})
+        set_(self, "arm_length", {s: float(self.arm_length[s]) for s in SIDES})
+        set_(self, "neutral_foot", {s: tuple(self.neutral_foot[s]) for s in SIDES})
 
     def neutral_links(self) -> LinkSet:
-        """The robot's neutral stance as a LinkSet (identity orientations)."""
-        ident = Rotation.identity()
-        pelvis = Pose(ident, np.array([0.0, 0.0, self.pelvis_height]))
-        torso = Pose(ident, pelvis.translation + np.asarray(self.pelvis_to_torso, dtype=float))
-        hands = {}
-        for side in SIDES:
-            local = np.asarray(self.shoulder_offset[side], dtype=float) + np.array(
-                [self.arm_length[side], 0.0, 0.0]
-            )
-            hands[side] = Pose(ident, torso.apply(local))
-        feet = {
-            side: Pose(ident, np.asarray(self.neutral_foot[side], dtype=float)) for side in SIDES
-        }
-        return LinkSet(pelvis, torso, hands["left"], hands["right"], feet["left"], feet["right"])
+        """The robot's neutral stance (identity orientations)."""
+        pelvis = np.array([0.0, 0.0, self.pelvis_height])
+        torso = pelvis + self.pelvis_to_torso
+        hands = [torso + np.add(self.shoulder_offset[s], (self.arm_length[s], 0.0, 0.0))
+                 for s in SIDES]
+        feet = [self.neutral_foot[s] for s in SIDES]
+        identity = np.tile((1.0, 0.0, 0.0, 0.0), (len(LINKS), 1))
+        return LinkSet.from_array(np.hstack([[pelvis, torso, *hands, *feet], identity]))
 
     def to_dict(self) -> dict:
         return {
@@ -234,11 +294,11 @@ class RobotModel:
     @staticmethod
     def from_dict(d: dict) -> "RobotModel":
         return RobotModel(
-            pelvis_height=float(d["pelvis_height_m"]),
-            pelvis_to_torso=tuple(d["pelvis_to_torso_m"]),
-            shoulder_offset={s: tuple(d["shoulder_offset_m"][s]) for s in SIDES},
-            arm_length={s: float(d["arm_length_m"][s]) for s in SIDES},
-            neutral_foot={s: tuple(d["neutral_foot_m"][s]) for s in SIDES},
+            pelvis_height=_entry(d, "pelvis_height_m", "robot"),
+            pelvis_to_torso=_entry(d, "pelvis_to_torso_m", "robot"),
+            shoulder_offset=_sides(d, "shoulder_offset_m", "robot"),
+            arm_length=_sides(d, "arm_length_m", "robot"),
+            neutral_foot=_sides(d, "neutral_foot_m", "robot"),
         )
 
 
@@ -247,11 +307,11 @@ class CalibrationProfile:
     """Everything map_frame needs, measured once from the neutral pose."""
 
     robot: RobotModel
-    anchor: Pose  # heading-aligned pelvis ground frame at calibration
+    anchor: tuple  # (q, t): heading-aligned pelvis ground frame at calibration
     pelvis_height: float  # performer pelvis height z^h, meters
     arm_length: dict[str, float]  # performer arm length l^h per side, torso frame
     shoulder: dict[str, np.ndarray]  # performer shoulder anchor per side, torso frame
-    rot_offset: dict[str, Rotation]  # per link; hands are torso-relative offsets
+    rot_offset: dict[str, tuple]  # unit quaternion per link; hands in the torso frame
     foot_offset: dict[str, np.ndarray]  # additive foot correction, meters
 
     @property
@@ -263,9 +323,6 @@ class CalibrationProfile:
     def _retarget(self) -> tuple:
         """map_frame's per-profile constants as plain floats, derived on
         first use and kept for the life of this (frozen) profile."""
-        # anchor.inverse() in kernel form: (q*, -(q* t))
-        to_anchor_q = qconj(self.anchor.rotation.q.tolist())
-        x, y, z = qrotate(to_anchor_q, self.anchor.translation.tolist())
         robot = self.robot
 
         def floats(v) -> tuple:
@@ -276,54 +333,67 @@ class CalibrationProfile:
                 floats(self.shoulder[side]),
                 robot.arm_length[side] / self.arm_length[side],
                 floats(robot.shoulder_offset[side]),
-                floats(self.rot_offset[f"{side}_hand"].q),
+                self.rot_offset[f"{side}_hand"],
             )
             for side in SIDES
         )
         feet = tuple(
-            (floats(self.rot_offset[f"{side}_foot"].q), floats(self.foot_offset[side]))
-            for side in SIDES
+            (self.rot_offset[f"{side}_foot"], floats(self.foot_offset[side])) for side in SIDES
         )
         return (
-            (to_anchor_q, (-x, -y, -z)),
+            pinv(*self.anchor),
             self.scale,
-            floats(self.rot_offset["pelvis"].q),
-            floats(self.rot_offset["torso"].q),
+            self.rot_offset["pelvis"],
+            self.rot_offset["torso"],
             floats(robot.pelvis_to_torso),
             hands,
             feet,
         )
 
     def to_dict(self) -> dict:
+        q, t = self.anchor
         return {
             "robot": self.robot.to_dict(),
-            "anchor": self.anchor.to_dict(),
+            "anchor": {"q": list(q), "p": list(t)},
             "pelvis_height_m": self.pelvis_height,
             "arm_length_m": dict(self.arm_length),
             "shoulder_m": {s: [float(c) for c in self.shoulder[s]] for s in SIDES},
-            "rot_offset": {k: r.to_list() for k, r in self.rot_offset.items()},
+            "rot_offset": {k: list(q) for k, q in self.rot_offset.items()},
             "foot_offset_m": {s: [float(c) for c in self.foot_offset[s]] for s in SIDES},
         }
 
     @staticmethod
     def from_dict(d: dict) -> "CalibrationProfile":
+        def per_side(key: str, read) -> dict:
+            return {s: read(v, f"{key} {s}") for s, v in _sides(d, key, "profile").items()}
+
+        def vector(value, where: str) -> np.ndarray:
+            return np.array(_numbers(value, 3, where))
+
+        def quaternion(link: str) -> tuple:
+            return qunit(*_numbers(_entry(rot_offset, link, "rot_offset"), 4, f"rot_offset {link}"))
+
+        anchor = pose_row(_entry(d, "anchor", "profile"), "anchor")
+        if not all(map(math.isfinite, anchor[:3])):
+            raise ValueError("non-finite anchor translation")
+        rot_offset = _entry(d, "rot_offset", "profile")
         return CalibrationProfile(
-            robot=RobotModel.from_dict(d["robot"]),
-            anchor=Pose.from_dict(d["anchor"]),
-            pelvis_height=float(d["pelvis_height_m"]),
-            arm_length={s: float(d["arm_length_m"][s]) for s in SIDES},
-            shoulder={s: np.asarray(d["shoulder_m"][s], dtype=float) for s in SIDES},
-            rot_offset={k: Rotation(np.asarray(q, dtype=float)) for k, q in d["rot_offset"].items()},
-            foot_offset={s: np.asarray(d["foot_offset_m"][s], dtype=float) for s in SIDES},
+            robot=RobotModel.from_dict(_entry(d, "robot", "profile")),
+            anchor=(qunit(*anchor[3:]), tuple(anchor[:3])),
+            pelvis_height=_number(_entry(d, "pelvis_height_m", "profile"), "pelvis_height_m"),
+            arm_length=per_side("arm_length_m", _number),
+            shoulder=per_side("shoulder_m", vector),
+            rot_offset={link: quaternion(link) for link in LINKS},
+            foot_offset=per_side("foot_offset_m", vector),
         )
 
 
-def heading_anchor(pelvis: Pose) -> Pose:
-    """Yaw-only pelvis ground frame: position under the pelvis, x along heading."""
-    h = pelvis.rotation.apply(np.array([1.0, 0.0, 0.0]))
-    yaw = math.atan2(h[1], h[0]) if math.hypot(h[0], h[1]) > 1e-9 else 0.0
-    ground = np.array([pelvis.translation[0], pelvis.translation[1], 0.0])
-    return Pose(Rotation.about_z(yaw), ground)
+def heading_anchor(q, t) -> tuple:
+    """Yaw-only ground frame of a pelvis pose (q, t), as a pose (q, t):
+    position under the pelvis, x along its heading."""
+    hx, hy, _ = qrotate(q, (1.0, 0.0, 0.0))
+    yaw = math.atan2(hy, hx) if math.hypot(hx, hy) > 1e-9 else 0.0
+    return qaxis_angle((0.0, 0.0, 1.0), yaw), (t[0], t[1], 0.0)
 
 
 def calibrate(neutral: LinkSet, robot: RobotModel) -> CalibrationProfile:
@@ -336,41 +406,38 @@ def calibrate(neutral: LinkSet, robot: RobotModel) -> CalibrationProfile:
     Raises DegenerateNeutral when pelvis height <= 0.3 m or an arm
     length <= 0.1 m, the floor for a plausible standing human.
     """
-    anchor = heading_anchor(neutral.pelvis)
-    to_anchor = anchor.inverse()
-    local = neutral.transform(to_anchor.compose)
+    rows = neutral.array.tolist()
+    anchor = heading_anchor(rows[0][3:], rows[0][:3])
+    to_anchor = pinv(*anchor)
+    # Every link as a pose (q, t) in the anchor frame; the robot's as given.
+    local = {name: pmul(*to_anchor, row[3:], row[:3]) for name, row in zip(LINKS, rows)}
+    robot_rows = robot.neutral_links().array.tolist()
+    robot_neutral = {name: (row[3:], row[:3]) for name, row in zip(LINKS, robot_rows)}
 
-    z_h = float(local.pelvis.translation[2])
+    z_h = local["pelvis"][1][2]
     if z_h <= MIN_PELVIS_HEIGHT_M:
         raise DegenerateNeutral(f"pelvis height {z_h:.3f} m <= {MIN_PELVIS_HEIGHT_M} m")
-
-    robot_neutral = robot.neutral_links()
     scale = robot.pelvis_height / z_h
 
     arm_length: dict[str, float] = {}
     shoulder: dict[str, np.ndarray] = {}
-    rot_offset: dict[str, Rotation] = {}
+    rot_offset: dict[str, tuple] = {}
     foot_offset: dict[str, np.ndarray] = {}
 
     for side in SIDES:
-        hand_in_torso = relative(local.torso, local.pose(f"{side}_hand"))
-        reach = float(hand_in_torso.translation[0])
-        if reach <= MIN_ARM_LENGTH_M:
-            raise DegenerateNeutral(f"{side} arm length {reach:.3f} m <= {MIN_ARM_LENGTH_M} m")
-        arm_length[side] = reach
-        shoulder[side] = np.array([0.0, hand_in_torso.translation[1], hand_in_torso.translation[2]])
-        # Hand offsets live in the torso-relative frame the retarget uses.
-        robot_rel = relative(robot_neutral.torso, robot_neutral.pose(f"{side}_hand"))
-        rot_offset[f"{side}_hand"] = hand_in_torso.rotation.inverse().compose(robot_rel.rotation)
-
-        foot = local.pose(f"{side}_foot").translation
-        robot_foot = robot_neutral.pose(f"{side}_foot").translation
-        foot_offset[side] = robot_foot - scale * foot
+        hand_q, hand_t = pmul(*pinv(*local["torso"]), *local[f"{side}_hand"])
+        if hand_t[0] <= MIN_ARM_LENGTH_M:
+            raise DegenerateNeutral(f"{side} arm length {hand_t[0]:.3f} m <= {MIN_ARM_LENGTH_M} m")
+        arm_length[side] = hand_t[0]
+        shoulder[side] = np.array([0.0, hand_t[1], hand_t[2]])
+        # Hand offsets live in the torso frame the retarget uses.
+        robot_q, _ = pmul(*pinv(*robot_neutral["torso"]), *robot_neutral[f"{side}_hand"])
+        rot_offset[f"{side}_hand"] = qmul(qconj(hand_q), robot_q)
+        robot_foot = np.array(robot_neutral[f"{side}_foot"][1])
+        foot_offset[side] = robot_foot - scale * np.array(local[f"{side}_foot"][1])
 
     for link in ("pelvis", "torso", "left_foot", "right_foot"):
-        rot_offset[link] = (
-            local.pose(link).rotation.inverse().compose(robot_neutral.pose(link).rotation)
-        )
+        rot_offset[link] = qmul(qconj(local[link][0]), robot_neutral[link][0])
 
     return CalibrationProfile(
         robot=robot,
@@ -383,23 +450,16 @@ def calibrate(neutral: LinkSet, robot: RobotModel) -> CalibrationProfile:
     )
 
 
-def _compose(qa, ta, qb, tb, unit) -> tuple:
-    """Pose product (qa, ta) * (qb, tb), as Pose.compose."""
-    rx, ry, rz = qrotate(qa, tb)
-    x, y, z = ta
-    return qmul(qa, qb, unit), (x + rx, y + ry, z + rz)
-
-
 def _retarget_body(constants: tuple, v, unit) -> list:
     """The retarget of map_frame on the 42 values of a frame in row order,
     floats or (N,) columns, with `unit` the matching se3 unit kernel.
     Returns the 42 mapped values in the same order.
 
-    Runs the Pose algebra of the formulas operation for operation, so the
-    result is bit-identical to composing Poses."""
+    Runs the pose algebra of the formulas operation for operation (se3.pmul,
+    se3.pinv), so floats and columns give the same bits."""
     (qa, ta), s, pelvis_off, torso_off, pelvis_to_torso, hands, feet = constants
     # Every link re-expressed in the calibration anchor frame.
-    local = [_compose(qa, ta, v[k + 3 : k + 7], v[k : k + 3], unit) for k in range(0, len(v), 7)]
+    local = [pmul(qa, ta, v[k + 3 : k + 7], v[k : k + 3], unit) for k in range(0, len(v), 7)]
     (qp, tp), (qt, tt) = local[0], local[1]
 
     pelvis_q = qmul(qp, pelvis_off, unit)
@@ -409,18 +469,16 @@ def _retarget_body(constants: tuple, v, unit) -> list:
     torso_t = (pelvis_t[0] + r[0], pelvis_t[1] + r[1], pelvis_t[2] + r[2])
     out = [*pelvis_t, *pelvis_q, *torso_t, *torso_q]
 
-    # Hands: relative to the performer's torso, re-anchored and scaled.
-    inv_q = qconj(qt)
-    r = qrotate(inv_q, tt)
-    inv_t = (-r[0], -r[1], -r[2])
+    # Hands: in the performer's torso frame, re-anchored and scaled.
+    inv_q, inv_t = pinv(qt, tt)
     for (qh, th), (shoulder, ratio, robot_shoulder, off) in zip(local[2:4], hands):
-        rel_q, (x, y, z) = _compose(inv_q, inv_t, qh, th, unit)
+        rel_q, (x, y, z) = pmul(inv_q, inv_t, qh, th, unit)
         anchored = (
             (x - shoulder[0]) * ratio + robot_shoulder[0],
             (y - shoulder[1]) * ratio + robot_shoulder[1],
             (z - shoulder[2]) * ratio + robot_shoulder[2],
         )
-        hand_q, hand_t = _compose(torso_q, torso_t, qmul(rel_q, off, unit), anchored, unit)
+        hand_q, hand_t = pmul(torso_q, torso_t, qmul(rel_q, off, unit), anchored, unit)
         out += (*hand_t, *hand_q)
 
     for (qf, (x, y, z)), (off, (dx, dy, dz)) in zip(local[4:], feet):
@@ -434,7 +492,7 @@ def map_frame(profile: CalibrationProfile, human: LinkSet) -> LinkSet:
     Pelvis and feet positions scale by the pelvis-height ratio (feet get
     their additive calibration correction); the torso rides on the mapped
     pelvis through the robot's fixed pelvis-to-torso offset; hands are
-    retargeted torso-relative with shoulder re-anchoring and arm-length
+    retargeted in the torso frame with shoulder re-anchoring and arm-length
     scaling. Orientations compose the performer's rotation with the
     calibrated offset. Stateless: same input frame, same output.
     """
@@ -458,18 +516,21 @@ def map_frames(profile: CalibrationProfile, poses: np.ndarray) -> np.ndarray:
     return out.reshape(a.shape)
 
 
-def torso_from_headset(pelvis: Pose, headset_position: np.ndarray) -> Rotation:
+def torso_from_headset(pelvis_q, pelvis_t, headset_position) -> tuple:
     """Torso orientation estimate from the headset position alone.
 
-    Expresses the headset position in the pelvis frame and returns the
-    minimal rotation aligning the vertical axis z with that direction
-    (pelvis-frame result; compose with pelvis.rotation for world).
+    Expresses the headset position in the frame of the pelvis pose
+    (pelvis_q, pelvis_t) and returns the minimal rotation, a unit
+    quaternion, aligning the vertical axis z with that direction
+    (pelvis-frame result; qmul(pelvis_q, result) gives world).
     Headset orientation is deliberately not an input: where the user
     looks should not steer the torso.
 
     Raises DegenerateHeadset when the pelvis-frame offset is <= 1e-6 m.
     """
-    v = pelvis.rotation.inverse().apply(np.asarray(headset_position, dtype=float) - pelvis.translation)
-    if float(np.linalg.norm(v)) <= 1e-6:
-        raise DegenerateHeadset(f"headset offset norm {np.linalg.norm(v):.3e} m <= 1e-6 m")
-    return align_axis(np.array([0.0, 0.0, 1.0]), v)
+    offset = [float(h) - float(p) for h, p in zip(headset_position, pelvis_t)]
+    v = qrotate(qconj(pelvis_q), offset)
+    norm = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+    if norm <= 1e-6:
+        raise DegenerateHeadset(f"headset offset norm {norm:.3e} m <= 1e-6 m")
+    return align_axis((0.0, 0.0, 1.0), v)

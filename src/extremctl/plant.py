@@ -162,8 +162,8 @@ class PlanarChain:
 
     Links are uniform rods by default (com at mid-length, rod inertia
     m l^2 / 12 about the com); com offsets and com inertias can be given
-    explicitly. Joint angles are relative; gravity (m/s^2, pulling along
-    -y of the plane) defaults to zero.
+    explicitly. Each joint angle is measured from the previous link;
+    gravity (m/s^2, pulling along -y of the plane) defaults to zero.
     """
 
     masses: np.ndarray  # kg per link

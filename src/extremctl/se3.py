@@ -4,27 +4,26 @@ Conventions:
     * quaternions are scalar-first (w, x, y, z), unit norm, and canonicalized
       to w >= 0 so each rotation has a single representation (double cover);
     * translations are meters, rotations are right-handed;
-    * ``a.compose(b)`` (also ``a * b``) applies ``b`` first, then ``a``
-      (matrix convention).
+    * a pose is a pair (q, t) and ``pmul(qa, ta, qb, tb)`` applies
+      (qb, tb) first, then (qa, ta) (matrix convention).
 
-All types are immutable; every operation returns a new value.
-
+Quaternions are tuples ``(w, x, y, z)``, vectors ``(x, y, z)``; each
+component is a float, or all are equal-shape float arrays ("columns").
 The arithmetic lives in three kernels, ``qmul`` (Hamilton product),
 ``qrotate`` and ``qconj``, plus ``qunit``, the one rule that validates
-and canonicalizes a quaternion. Quaternions are tuples ``(w, x, y, z)``,
-vectors ``(x, y, z)``; each component is a float, or all are equal-shape
-float arrays ("columns"). The product, rotation and conjugate are the
-same code on both. Only the canonicalizing unit step needs an array form,
-``qunit_columns``, which ``qmul`` takes as its ``unit`` argument.
-``Rotation`` and ``Pose`` call the float kernels; ``mapping`` runs one
-retarget body on floats per frame (``map_frame``) and on columns per
-stream (``map_frames``).
+and canonicalizes a quaternion. The pose product ``pmul`` and inverse
+``pinv`` are built on them (Sola, Deray and Atchuthan, "A micro Lie
+theory for state estimation in robotics", arXiv:1812.01537). All of
+these are the same code on floats and on columns; only the
+canonicalizing unit step needs an array form, ``qunit_columns``, which
+``qmul`` and ``pmul`` take as their ``unit`` argument. ``mapping`` runs
+calibration on floats, and one retarget body on floats per frame
+(``map_frame``) and on columns per stream (``map_frames``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,11 +39,6 @@ class ZeroVector(ExtremControlError):
     def __init__(self, message: str, index: int | None = None) -> None:
         super().__init__(message)
         self.index = index
-
-
-def _locked(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 def qunit(w: float, x: float, y: float, z: float) -> tuple:
@@ -119,137 +113,54 @@ def qrotate(q, v) -> tuple:
     )
 
 
-@dataclass(frozen=True, eq=False)
+def pmul(qa, ta, qb, tb, unit=qunit) -> tuple:
+    """The pose product (qa, ta) * (qb, tb) = (qa qb, ta + qa tb): (qb, tb)
+    applied first. Floats or columns, as qmul."""
+    rx, ry, rz = qrotate(qa, tb)
+    x, y, z = ta
+    return qmul(qa, qb, unit), (x + rx, y + ry, z + rz)
+
+
+def pinv(q, t) -> tuple:
+    """Inverse pose of (q, t): (q*, -(q* t))."""
+    qi = qconj(q)
+    x, y, z = qrotate(qi, t)
+    return qi, (-x, -y, -z)
+
+
+def qaxis_angle(axis, angle: float) -> tuple:
+    """Unit quaternion of `angle` radians about `axis` (need not be unit
+    length). Raises ZeroVector when |axis| <= 1e-12."""
+    x, y, z = (float(c) for c in axis)
+    norm = math.sqrt(x * x + y * y + z * z)
+    if norm <= _UNIT_EPS:
+        raise ZeroVector(f"rotation axis norm {norm} is not normalizable")
+    half = 0.5 * float(angle)
+    k = math.sin(half) / norm
+    return qunit(math.cos(half), x * k, y * k, z * k)
+
+
 class Rotation:
-    """Unit quaternion (w, x, y, z), w >= 0."""
+    """A unit quaternion with the kernels' product and rotation as methods.
+    Nothing in extremctl builds one; it is kept because perfbench/tracing.py
+    wraps Rotation.compose and Rotation.apply by name."""
 
-    q: np.ndarray
-
-    def __post_init__(self) -> None:
-        q = np.asarray(self.q, dtype=float).reshape(4)
-        object.__setattr__(self, "q", _locked(np.array(qunit(*q.tolist()))))
-
-    @staticmethod
-    def identity() -> "Rotation":
-        return Rotation(np.array([1.0, 0.0, 0.0, 0.0]))
-
-    @staticmethod
-    def from_axis_angle(axis: np.ndarray, angle: float) -> "Rotation":
-        """Rotation of `angle` radians about `axis` (need not be unit length)."""
-        axis = np.asarray(axis, dtype=float).reshape(3)
-        norm = float(np.linalg.norm(axis))
-        if norm <= _UNIT_EPS:
-            raise ZeroVector(f"rotation axis norm {norm} is not normalizable")
-        half = 0.5 * float(angle)
-        u = axis * (math.sin(half) / norm)
-        return Rotation(np.array([math.cos(half), u[0], u[1], u[2]]))
-
-    @staticmethod
-    def about_z(angle: float) -> "Rotation":
-        return Rotation.from_axis_angle(np.array([0.0, 0.0, 1.0]), angle)
+    def __init__(self, q) -> None:
+        self.q = qunit(*(float(c) for c in q))
 
     def compose(self, other: "Rotation") -> "Rotation":
-        """Hamilton product self * other (other applied first)."""
-        return Rotation(np.array(qmul(self.q.tolist(), other.q.tolist())))
+        return Rotation(qmul(self.q, other.q))
 
-    def __mul__(self, other: "Rotation") -> "Rotation":
-        return self.compose(other)
-
-    def inverse(self) -> "Rotation":
-        return Rotation(np.array(qconj(self.q.tolist())))
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Rotate one 3-vector (or an (..., 3) stack of them)."""
-        v = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
-        return np.stack(qrotate(self.q.tolist(), v), axis=-1)
-
-    def angle(self) -> float:
-        """Rotation magnitude in radians, in [0, pi]."""
-        s = float(np.linalg.norm(self.q[1:]))
-        c = float(self.q[0])
-        return 2.0 * math.atan2(s, c)
-
-    def angle_to(self, other: "Rotation") -> float:
-        """Geodesic distance to another rotation, radians."""
-        return self.inverse().compose(other).angle()
-
-    def as_matrix(self) -> np.ndarray:
-        w, x, y, z = self.q
-        return np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-            ]
-        )
-
-    def to_list(self) -> list[float]:
-        return [float(c) for c in self.q]
-
-    def __repr__(self) -> str:
-        w, x, y, z = self.q
-        return f"Rotation(w={w:.6g}, x={x:.6g}, y={y:.6g}, z={z:.6g})"
+    def apply(self, v) -> tuple:
+        return qrotate(self.q, v)
 
 
-@dataclass(frozen=True, eq=False)
-class Pose:
-    """Rigid transform: rotation plus translation (meters)."""
-
-    rotation: Rotation
-    translation: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.translation, dtype=float).reshape(3).copy()
-        if not all(map(math.isfinite, p.tolist())):
-            raise ValueError(f"non-finite translation {p}")
-        object.__setattr__(self, "translation", _locked(p))
-
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose(Rotation.identity(), np.zeros(3))
-
-    def compose(self, other: "Pose") -> "Pose":
-        return Pose(
-            self.rotation.compose(other.rotation),
-            self.translation + self.rotation.apply(other.translation),
-        )
-
-    def __mul__(self, other: "Pose") -> "Pose":
-        return self.compose(other)
-
-    def inverse(self) -> "Pose":
-        rinv = self.rotation.inverse()
-        return Pose(rinv, -rinv.apply(self.translation))
-
-    def apply(self, point: np.ndarray) -> np.ndarray:
-        return self.rotation.apply(point) + self.translation
-
-    def to_dict(self) -> dict:
-        return {"q": self.rotation.to_list(), "p": [float(c) for c in self.translation]}
-
-    @staticmethod
-    def from_dict(d: dict) -> "Pose":
-        return Pose(Rotation(np.asarray(d["q"], dtype=float)), np.asarray(d["p"], dtype=float))
-
-    def __repr__(self) -> str:
-        p = self.translation
-        return f"Pose(q={self.rotation.to_list()}, p=[{p[0]:.6g}, {p[1]:.6g}, {p[2]:.6g}])"
+_CANONICAL_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
-def relative(base: Pose, target: Pose) -> Pose:
-    """Target expressed in the base frame: base.inverse() * target."""
-    return base.inverse().compose(target)
-
-
-_CANONICAL_AXES = (
-    np.array([1.0, 0.0, 0.0]),
-    np.array([0.0, 1.0, 0.0]),
-    np.array([0.0, 0.0, 1.0]),
-)
-
-
-def align_axis(from_axis: np.ndarray, to_vector: np.ndarray) -> Rotation:
-    """Minimal rotation mapping `from_axis` onto the direction of `to_vector`.
+def align_axis(from_axis, to_vector) -> tuple:
+    """Minimal rotation (a unit quaternion) mapping `from_axis` onto the
+    direction of `to_vector`.
 
     Rotates about the axis orthogonal to the plane spanned by the two
     directions. Anti-parallel inputs need a convention: the rotation is pi
@@ -270,13 +181,12 @@ def align_axis(from_axis: np.ndarray, to_vector: np.ndarray) -> Rotation:
     t = t / tn
     c = float(np.dot(f, t))
     if c >= 1.0 - 1e-12:
-        return Rotation.identity()
+        return (1.0, 0.0, 0.0, 0.0)
     if c <= -1.0 + 1e-12:
         for e in _CANONICAL_AXES:
-            a = e - float(np.dot(e, f)) * f
+            a = np.array(e) - float(np.dot(e, f)) * f
             if float(np.linalg.norm(a)) > 1e-6:
-                return Rotation.from_axis_angle(a, math.pi)
+                return qaxis_angle(a, math.pi)
         raise ZeroVector("no canonical axis orthogonal to from_axis")  # unreachable
     axis = np.cross(f, t)
-    angle = math.atan2(float(np.linalg.norm(axis)), c)
-    return Rotation.from_axis_angle(axis, angle)
+    return qaxis_angle(axis, math.atan2(float(np.linalg.norm(axis)), c))

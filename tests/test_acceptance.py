@@ -11,6 +11,7 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import IDENTITY, make_links, quat_angle, random_links
 from extremctl.impedance import CalibrationConfig, calibrate_chain
 from extremctl.latency import RegionSpec, analyze_pair
 from extremctl.mapping import LINKS, LinkSet, RobotModel, calibrate, map_frame
@@ -28,7 +29,7 @@ from extremctl.plant import (
     simulate_delay_curve,
     zoh_interval_overshoot,
 )
-from extremctl.se3 import Pose, Rotation
+from extremctl.se3 import qconj, qmul
 from extremctl.wire import (
     BadMagic,
     BadVersion,
@@ -146,32 +147,33 @@ def test_06_mapping_reproduces_neutral_and_ignores_body_scale():
         arm_length={"left": 0.45, "right": 0.45},
         neutral_foot={"left": (0.0, 0.12, 0.03), "right": (0.0, -0.12, 0.03)},
     )
-    ident = Rotation.identity()
-    pelvis = Pose(ident, np.array([0.0, 0.0, 1.0]))
-    human = LinkSet(
-        pelvis=pelvis,
-        torso=pelvis,
-        left_hand=Pose(ident, np.array([0.6, 0.2, 1.3])),
-        right_hand=Pose(ident, np.array([0.6, -0.2, 1.3])),
-        left_foot=Pose(ident, np.array([0.0, 0.1, 0.02])),
-        right_foot=Pose(ident, np.array([0.0, -0.1, 0.02])),
-    )
+    rows = [[0.0, 0.0, 1.0, *IDENTITY],  # pelvis
+            [0.0, 0.0, 1.0, *IDENTITY],  # torso
+            [0.6, 0.2, 1.3, *IDENTITY],  # left_hand
+            [0.6, -0.2, 1.3, *IDENTITY],  # right_hand
+            [0.0, 0.1, 0.02, *IDENTITY],  # left_foot
+            [0.0, -0.1, 0.02, *IDENTITY]]  # right_foot
+    human = make_links(rows)
     prof = calibrate(human, robot)
     out = map_frame(prof, human)
     want = robot.neutral_links()
-    terr = max(np.abs(getattr(out, n).translation - getattr(want, n).translation).max()
-               for n in LINKS)
-    rerr = max(getattr(out, n).rotation.angle_to(getattr(want, n).rotation) for n in LINKS)
+    terr = np.abs(out.array[:, :3] - want.array[:, :3]).max()
+    # angle between unit quaternions a, b: the magnitude of a* b
+    turns = [qmul(qconj(a), b) for a, b in zip(out.array[:, 3:].tolist(), want.array[:, 3:].tolist())]
+    rerr = max(map(quat_angle, turns))
 
-    moved = human.with_pose(
-        "right_hand",
-        Pose(ident, human.right_hand.translation + np.array([0.1, -0.05, 0.12])),
-    )
+    hand = rows[LINKS.index("right_hand")]
+    hand[:3] = np.add(hand[:3], [0.1, -0.05, 0.12]).tolist()
+    moved = make_links(rows)
     ref = map_frame(prof, moved)
-    grow = lambda p: Pose(p.rotation, p.translation * 1.37)
-    out_s = map_frame(calibrate(human.transform(grow), robot), moved.transform(grow))
-    serr = max(np.abs(getattr(out_s, n).translation - getattr(ref, n).translation).max()
-               for n in LINKS)
+
+    def grow(links):
+        a = links.array.copy()
+        a[:, :3] *= 1.37
+        return LinkSet.from_array(a)
+
+    out_s = map_frame(calibrate(grow(human), robot), grow(moved))
+    serr = np.abs(out_s.array[:, :3] - ref.array[:, :3]).max()
 
     ok = terr < 1e-9 and rerr < 1e-9 and serr < 1e-9
     _line(ok, "06 mapping consistency",
@@ -246,14 +248,11 @@ def test_09_codec_round_trip_and_malformed_input():
     rng = np.random.default_rng(2024)
     n = 100_000
     for i in range(n):
-        poses = {}
-        for name in LINKS:
-            vec = rng.normal(size=4)
-            poses[name] = Pose(Rotation(vec / np.linalg.norm(vec)), rng.normal(size=3))
+        links = random_links(rng)
         frame = PoseFrame(
             seq=int(rng.integers(0, 2**32)),
             timestamp_ns=int(rng.integers(0, 2**64, dtype=np.uint64)),
-            links=LinkSet(**poses),
+            links=links,
         )
         wire = encode_frame(frame)
         back = decode_frame(wire)

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import IDENTITY, make_links
 import extremctl
 from extremctl import fileio
 from extremctl.cli import _parse_etas, _parse_reference, main
@@ -20,7 +21,7 @@ from extremctl.latency import MotionSignal
 from extremctl.mapping import LINKS, CalibrationProfile, LinkSet, RobotModel, calibrate, map_frame
 from extremctl.pipeline import MotionSpec, default_human_neutral, default_robot_model
 from extremctl.plant import GainSchedule, make_sinusoid, plant_from_dict, run_episode
-from extremctl.se3 import Pose, Rotation
+from extremctl.se3 import qaxis_angle, qmul
 
 
 def make_robot():
@@ -33,17 +34,19 @@ def make_robot():
     )
 
 
-def make_human():
-    ident = Rotation.identity()
-    pelvis = Pose(ident, np.array([0.0, 0.0, 1.0]))
-    return LinkSet(
-        pelvis=pelvis,
-        torso=pelvis,
-        left_hand=Pose(ident, np.array([0.6, 0.2, 1.3])),
-        right_hand=Pose(ident, np.array([0.6, -0.2, 1.3])),
-        left_foot=Pose(ident, np.array([0.0, 0.1, 0.02])),
-        right_foot=Pose(ident, np.array([0.0, -0.1, 0.02])),
-    )
+HUMAN_ROWS = [  # translation, then an identity orientation
+    [0.0, 0.0, 1.0, *IDENTITY],  # pelvis
+    [0.0, 0.0, 1.0, *IDENTITY],  # torso
+    [0.6, 0.2, 1.3, *IDENTITY],  # left_hand
+    [0.6, -0.2, 1.3, *IDENTITY],  # right_hand
+    [0.0, 0.1, 0.02, *IDENTITY],  # left_foot
+    [0.0, -0.1, 0.02, *IDENTITY],  # right_foot
+]
+
+
+def make_human(**moved):
+    """The neutral stance, with a link moved to the row given by name."""
+    return make_links([moved.get(name, row) for name, row in zip(LINKS, HUMAN_ROWS)])
 
 
 def write_mapping_inputs(d):
@@ -51,9 +54,8 @@ def write_mapping_inputs(d):
     robot, human = make_robot(), make_human()
     fileio.dump_json(str(d / "robot.json"), robot.to_dict())
     fileio.dump_json(str(d / "neutral.json"), human.to_dict())
-    ident = Rotation.identity()
     frames = [
-        (100_000_000 * k, human.with_pose("left_hand", Pose(ident, np.array([0.6, 0.2 + 0.01 * k, 1.3]))))
+        (100_000_000 * k, make_human(left_hand=[0.6, 0.2 + 0.01 * k, 1.3, *IDENTITY]))
         for k in range(3)
     ]
     fileio.write_linkset_jsonl(str(d / "frames.jsonl"), [ts for ts, _ in frames],
@@ -178,11 +180,8 @@ def test_map_preserves_timestamps_and_matches_library(tmp_path):
     assert mapped.stamps == [0, 100_000_000, 200_000_000]
     prof = CalibrationProfile.from_dict(fileio.load_json(str(profile_path)))
     for got, (_, raw) in zip(mapped.poses, frames):
-        got, want = LinkSet.from_array(got), map_frame(prof, raw)
-        for name in ("pelvis", "torso", "left_hand", "right_hand", "left_foot", "right_foot"):
-            # repr-float JSON keeps the round trip bit exact
-            assert np.array_equal(getattr(got, name).translation, getattr(want, name).translation)
-            assert np.array_equal(getattr(got, name).rotation.q, getattr(want, name).rotation.q)
+        # repr-float JSON keeps the round trip bit exact
+        assert np.array_equal(got, map_frame(prof, raw).array)
 
 
 def _calibrated_profile(tmp_path):
@@ -195,12 +194,12 @@ def _calibrated_profile(tmp_path):
 
 def _moving_frames(rng, n):
     """make_human with every link moved and turned a little, as a (n, 6, 7) array."""
-    human = make_human()
+    def moved(row):
+        turn = qaxis_angle(rng.normal(size=3), rng.uniform(-0.5, 0.5))
+        return [*(row[:3] + rng.normal(scale=0.05, size=3)), *qmul(turn, row[3:])]
+
     return np.stack([
-        human.transform(lambda p: Pose(
-            Rotation.from_axis_angle(rng.normal(size=3), rng.uniform(-0.5, 0.5)).compose(p.rotation),
-            p.translation + rng.normal(scale=0.05, size=3))).array
-        for _ in range(n)
+        make_links([moved(row) for row in make_human().array]).array for _ in range(n)
     ])
 
 
@@ -261,6 +260,44 @@ def test_mapping_input_file_not_an_object_exits_one_naming_file(tmp_path, capsys
     diag = json.loads(err)
     assert diag["error"] == "ValueError"
     assert "bad.json" in diag["message"] and "JSON object" in diag["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, bad, path, value, named", [
+    ("calibrate-map", "neutral", ["pelvis"], [1.0], "pelvis"),
+    ("calibrate-map", "neutral", ["left_hand", "p"], ["0.1", "0.2", "0.9"], "left_hand p"),
+    ("calibrate-map", "neutral", ["torso", "q"], [1.0, 0.0, 0.0], "torso q"),
+    ("calibrate-map", "robot", ["pelvis_to_torso_m"], ["0", 0, 0.25], "pelvis_to_torso"),
+    ("calibrate-map", "robot", ["shoulder_offset_m"], [], "shoulder_offset_m"),
+    ("map", "profile", ["robot"], [], "robot"),
+    ("map", "profile", ["anchor", "p"], [0.0, "0", 0.0], "anchor p"),
+    ("map", "profile", ["rot_offset", "left_foot"], [1.0, 0.0, 0.0, False], "rot_offset left_foot"),
+    ("map", "profile", ["arm_length_m"], [0.6, 0.6], "arm_length_m"),
+])
+def test_malformed_pose_or_model_value_exits_one_naming_it(tmp_path, capsys, command, bad, path,
+                                                           value, named):
+    """A value of the wrong JSON type inside an otherwise valid neutral,
+    robot or profile file."""
+    profile = _calibrated_profile(tmp_path)
+    files = {"neutral": tmp_path / "neutral.json", "robot": tmp_path / "robot.json",
+             "profile": profile, "frames": tmp_path / "frames.jsonl"}
+    d = fileio.load_json(str(files[bad]))
+    parent = d
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    files[bad] = tmp_path / "bad.json"
+    fileio.dump_json(str(files[bad]), d)
+    flags = ("neutral", "robot") if command == "calibrate-map" else ("profile", "frames")
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out)]
+    for flag in flags:
+        argv += [f"--{flag}", str(files[flag])]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    diag = json.loads(err)
+    assert diag["error"] == "ValueError" and named in diag["message"]
     assert not out.exists()
 
 

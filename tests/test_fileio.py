@@ -21,9 +21,8 @@ from extremctl.fileio import (
     write_pgm,
     write_signal_csv,
 )
+from conftest import random_links
 from extremctl.latency import FlowField, MotionSignal
-from extremctl.mapping import LinkSet
-from extremctl.se3 import Pose, Rotation
 from extremctl.wire import BadMagic, ShortRead
 
 
@@ -118,26 +117,14 @@ def test_signal_csv_rejects_nonuniform(tmp_path):
 
 def test_linkset_jsonl_round_trip(tmp_path):
     rng = np.random.default_rng(3)
-
-    def pose():
-        vec = rng.normal(size=4)
-        return Pose(Rotation(vec / np.linalg.norm(vec)), rng.normal(size=3))
-
-    names = ("pelvis", "torso", "left_hand", "right_hand", "left_foot", "right_foot")
-    frames = [
-        (1_000_000 * k, LinkSet(**{n: pose() for n in names})) for k in range(4)
-    ]
+    frames = [(1_000_000 * k, random_links(rng)) for k in range(4)]
     path = tmp_path / "stream.jsonl"
     write_linkset_jsonl(path, [ts for ts, _ in frames], np.stack([links.array for _, links in frames]))
     back = read_linkset_jsonl(path)
     assert back.stamps == [ts for ts, _ in frames] and back.lines == [1, 2, 3, 4]
     assert back.poses.shape == (4, 6, 7)
-    for (_, links_a), pose_b in zip(frames, back.poses):
-        links_b = LinkSet.from_array(pose_b)
-        for name in names:
-            pa, pb = getattr(links_a, name), getattr(links_b, name)
-            assert np.array_equal(pa.translation, pb.translation)
-            assert np.array_equal(pa.rotation.q, pb.rotation.q)
+    for (_, links), poses in zip(frames, back.poses):
+        assert np.array_equal(poses, links.array)
 
 
 def test_json_deterministic(tmp_path):
@@ -197,6 +184,22 @@ def test_linkset_jsonl_timestamp_must_be_a_json_integer(tmp_path):
         path.write_text(json.dumps({"timestamp_ns": stamp, "links": links}) + "\n")
         (got,) = read_linkset_jsonl(path).stamps
         assert type(got) is int and got == stamp
+
+
+def test_linkset_jsonl_pose_values_must_be_json_numbers(tmp_path):
+    names = ("pelvis", "torso", "left_hand", "right_hand", "left_foot", "right_foot")
+    links = {n: {"p": [0, 0, 1], "q": [1, 0, 0, 0]} for n in names}  # integers are numbers
+    path = tmp_path / "rows.jsonl"
+    path.write_text(json.dumps({"timestamp_ns": 1, "links": links}) + "\n")
+    (poses,) = read_linkset_jsonl(path).poses
+    assert np.array_equal(poses, [[0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0]] * 6)
+    for key, bad in (("p", [0.0, True, 1.0]), ("q", [1.0, 0.0, 0.0, "0"]), ("q", [1.0, 0.0, 0.0]),
+                     ("p", [0.0, 0.0, 10**400])):
+        row = json.loads(json.dumps({"timestamp_ns": 1, "links": links}))
+        row["links"]["left_foot"][key] = bad
+        path.write_text("\n" + json.dumps(row) + "\n")
+        with pytest.raises(ValueError, match=rf"rows\.jsonl line 2: .*left_foot {key}"):
+            read_linkset_jsonl(path)
 
 
 def test_signal_csv_fuzz_ends_typed(tmp_path, hypothesis_settings):

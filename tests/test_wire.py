@@ -7,8 +7,8 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import random_links
 from extremctl.mapping import LINKS, LinkSet
-from extremctl.se3 import Pose, Rotation
 from extremctl.wire import (
     FRAME_SIZE,
     BadMagic,
@@ -23,11 +23,7 @@ from extremctl.wire import (
 
 
 def random_frame(rng, seq=0, timestamp_ns=0):
-    poses = {}
-    for name in LINKS:
-        vec = rng.normal(size=4)
-        poses[name] = Pose(Rotation(vec / np.linalg.norm(vec)), rng.normal(size=3))
-    return PoseFrame(seq=seq, timestamp_ns=timestamp_ns, links=LinkSet(**poses))
+    return PoseFrame(seq=seq, timestamp_ns=timestamp_ns, links=random_links(rng))
 
 
 def test_frame_is_353_bytes():
@@ -45,13 +41,7 @@ def test_round_trip_bit_exact():
         assert back.seq == frame.seq
         assert back.timestamp_ns == frame.timestamp_ns
         assert encode_frame(back) == wire
-        for name in LINKS:
-            assert np.array_equal(
-                back.links.pose(name).translation, frame.links.pose(name).translation
-            )
-            assert np.array_equal(
-                back.links.pose(name).rotation.q, frame.links.pose(name).rotation.q
-            )
+        assert np.array_equal(back.links.array, frame.links.array)
 
 
 def test_decode_rejects_wrong_magic():
@@ -179,13 +169,13 @@ def test_encode_refuses_unchecked_non_finite_or_non_unit_array():
 def test_decode_reads_the_linkset_array_in_wire_order():
     rng = np.random.default_rng(13)
     frame = random_frame(rng, seq=7, timestamp_ns=99)
-    back = decode_frame(encode_frame(frame) + b"trailing bytes are ignored")
+    wire = encode_frame(frame)
+    back = decode_frame(wire + b"trailing bytes are ignored")
     assert np.array_equal(back.links.array, frame.links.array)
     assert not back.links.array.flags.writeable
-    for i, name in enumerate(LINKS):
-        pose = frame.links.pose(name)
-        assert np.array_equal(back.links.array[i, :3], pose.translation)
-        assert np.array_equal(back.links.array[i, 3:], pose.rotation.q)
+    for i in range(len(LINKS)):
+        # row i is link LINKS[i]: translation then quaternion, 7 doubles
+        assert np.array_equal(back.links.array[i], struct.unpack_from("<7d", wire, 17 + 56 * i))
 
 
 def _decode_ends_typed(buf: bytes) -> None:
