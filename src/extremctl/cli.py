@@ -3,7 +3,9 @@
 One subcommand per capability: calibrate-map, map, calibrate-gains,
 simulate, delay-curve, latency, pipeline. Conventions shared by all:
 
-* --config FILE merges a JSON object of defaults; explicit flags win.
+* --config FILE merges a JSON object of defaults; explicit flags win. Its
+  keys are the command's flag names, hyphen or underscore (for pipeline
+  also the PipelineConfig fields); any other key is refused.
 * --seed (or the EXTREMCTL_SEED environment variable) makes stochastic
   commands bit-reproducible; rerunning with identical inputs rewrites the
   primary outputs byte for byte.
@@ -50,6 +52,7 @@ from .pipeline import (
 )
 from .plant import (
     GainSchedule,
+    _check_keys,
     make_sinusoid,
     plant_from_dict,
     run_episode,
@@ -79,11 +82,18 @@ def _load_object(path) -> dict:
 
 
 class _Merged:
-    """Flag/--config/default resolution; flags win, then config, then default."""
+    """Flag/--config/default resolution; flags win, then config, then default.
+    A --config key that names no flag (nor, for pipeline, a PipelineConfig
+    field) is refused, so a misspelt key never runs as its default."""
 
     def __init__(self, args: argparse.Namespace) -> None:
         self.args = args
-        self.config = _load_object(args.config) if getattr(args, "config", None) else {}
+        self.config = _load_object(args.config) if args.config else {}
+        flags = set(vars(args)) - {"command", "config", "out"}
+        keys = flags | {name.replace("_", "-") for name in flags}
+        if args.command == "pipeline":
+            keys |= set(PipelineConfig.__dataclass_fields__)
+        _check_keys(self.config, keys, str(args.config))
 
     def get(self, name: str, default=None, cast=None):
         value = getattr(self.args, name.replace("-", "_"), None)
@@ -276,15 +286,8 @@ def _cmd_latency(args: argparse.Namespace) -> int:
     return 0
 
 
-# `pipeline` flags a --config file may set besides PipelineConfig fields
-_PIPELINE_FLAGS = {"eta", "eta-sweep", "eta_sweep", "duration", "seed", "signals-out", "signals_out"}
-
-
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     m = _Merged(args)
-    unknown = sorted(set(m.config) - set(PipelineConfig.__dataclass_fields__) - _PIPELINE_FLAGS)
-    if unknown:
-        raise ValueError(f"{args.config}: unknown key {unknown[0]!r}")
     fields = {k: v for k, v in m.config.items() if k in PipelineConfig.__dataclass_fields__}
     fields["seed"] = m.seed()
     duration = m.get("duration", None, float)

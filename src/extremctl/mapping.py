@@ -370,8 +370,21 @@ class CalibrationProfile:
         def vector(value, where: str) -> np.ndarray:
             return np.array(_numbers(value, 3, where))
 
+        def length(value, where: str) -> float:
+            v = _number(value, where)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{where} {v!r} must be a positive finite number")
+            return v
+
+        def unit(q: list, where: str) -> tuple:
+            try:
+                return qunit(*q)
+            except ZeroVector as exc:
+                raise ZeroVector(f"{where}: {exc}") from None
+
         def quaternion(link: str) -> tuple:
-            return qunit(*_numbers(_entry(rot_offset, link, "rot_offset"), 4, f"rot_offset {link}"))
+            where = f"rot_offset {link}"
+            return unit(_numbers(_entry(rot_offset, link, "rot_offset"), 4, where), where)
 
         anchor = pose_row(_entry(d, "anchor", "profile"), "anchor")
         if not all(map(math.isfinite, anchor[:3])):
@@ -379,9 +392,9 @@ class CalibrationProfile:
         rot_offset = _entry(d, "rot_offset", "profile")
         return CalibrationProfile(
             robot=RobotModel.from_dict(_entry(d, "robot", "profile")),
-            anchor=(qunit(*anchor[3:]), tuple(anchor[:3])),
-            pelvis_height=_number(_entry(d, "pelvis_height_m", "profile"), "pelvis_height_m"),
-            arm_length=per_side("arm_length_m", _number),
+            anchor=(unit(anchor[3:], "anchor q"), tuple(anchor[:3])),
+            pelvis_height=length(_entry(d, "pelvis_height_m", "profile"), "pelvis_height_m"),
+            arm_length=per_side("arm_length_m", length),
             shoulder=per_side("shoulder_m", vector),
             rot_offset={link: quaternion(link) for link in LINKS},
             foot_offset=per_side("foot_offset_m", vector),

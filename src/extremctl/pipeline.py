@@ -13,11 +13,13 @@ a learned whole-body policy; that isolates transport, hold, and controller
 response, the quantities the latency budget decomposes.
 
 A run has two phases. Phase 1, the transport, steps the virtual clock
-through emit, jitter, drop, delivery, mailbox, map_frame and the held
-target, and records one held (q, qdot) target per control tick. Nothing
-in it depends on eta, zeta, omega_n or the plant inertia. Phase 2, the
-plant, integrates the joint under those held targets with
-plant.held_joint_q, the integrator run_episode uses too.
+once per control tick through emit, jitter, drop, delivery, mailbox,
+map_frame and the held target, and records one held (q, qdot) target
+per tick; the mailbox sees the writes a clock stepped per physics step
+would make, in the same order. Nothing in phase 1 depends on eta, zeta,
+omega_n or the plant inertia. Phase 2, the plant, integrates the joint
+under those held targets with plant.held_joint_q, the integrator
+run_episode uses too.
 run_pipeline is phase 1 then phase 2; run_pipeline_sweep runs phase 1
 once and phase 2 once per eta, and its records equal run_pipeline's.
 """
@@ -26,16 +28,15 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Iterator
 
 import numpy as np
 
 from .errors import ExtremControlError
-from .impedance import TWO_PI
 from .latency import MotionSignal, estimate_lag
-from .mapping import LINKS, CalibrationProfile, LinkSet, RobotModel, _row, calibrate, map_frame
+from .mapping import LINKS, CalibrationProfile, LinkSet, RobotModel, calibrate, map_frame
+from .mapping import _real, _row
 from .plant import SETTLE_S, DecoupledLinear, GainSchedule, _check_keys, equivalent_delay
 from .plant import held_joint_q, step  # noqa: F401  (perfbench's tracer wraps pipeline.step)
 from .wire import LatestValueMailbox, PoseFrame, decode_frame, encode_frame
@@ -53,7 +54,7 @@ class InsufficientPoints(ExtremControlError):
 def _check_finite(obj, names, error: type[Exception]) -> None:
     for name in names:
         value = getattr(obj, name)
-        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        if not _real(value):
             raise error(f"{name} {value!r} must be a finite number")
 
 
@@ -97,43 +98,20 @@ class MotionSpec:
             )
         if self.link not in LINKS:
             raise ValueError(f"link {self.link!r} not one of {LINKS}")
-        if self.axis not in (0, 1, 2):
-            raise ValueError(f"axis {self.axis} not in (0, 1, 2)")
+        if type(self.axis) is not int or self.axis not in (0, 1, 2):
+            raise ValueError(f"axis {self.axis!r} must be the integer 0, 1 or 2")
 
     def displacement(self, t: float) -> float:
-        return self.amplitude_m * math.sin(TWO_PI * self.frequency_hz * t)
+        return self.amplitude_m * math.sin(math.tau * self.frequency_hz * t)
 
     def to_dict(self) -> dict:
-        return {
-            "amplitude_m": self.amplitude_m,
-            "frequency_hz": self.frequency_hz,
-            "link": self.link,
-            "axis": self.axis,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "MotionSpec":
         """Spec from its to_dict form, absent keys at their defaults; others are refused."""
-        casts = {"amplitude_m": float, "frequency_hz": float, "link": str, "axis": int}
-        _check_keys(d, casts, "motion")
-        return MotionSpec(**{k: casts[k](v) for k, v in d.items()})
-
-
-# PipelineConfig's numeric fields besides seed; each must be finite.
-_FLOAT_FIELDS = (
-    "capture_rate_hz",
-    "control_rate_hz",
-    "lowlevel_rate_hz",
-    "network_delay_s",
-    "jitter_std_s",
-    "drop_prob",
-    "duration_s",
-    "omega_n",
-    "zeta",
-    "eta",
-    "plant_inertia",
-    "target_scale",
-)
+        _check_keys(d, MotionSpec.__dataclass_fields__, "motion")
+        return MotionSpec(**d)
 
 
 @dataclass(frozen=True)
@@ -155,7 +133,9 @@ class PipelineConfig:
     profile: CalibrationProfile | None = None  # default: built-in human + robot
 
     def __post_init__(self) -> None:
-        _check_finite(self, _FLOAT_FIELDS, ConfigInvalid)
+        # Every field with a float default: all but seed, motion and profile.
+        floats = [f.name for f in fields(self) if isinstance(f.default, float)]
+        _check_finite(self, floats, ConfigInvalid)
         if min(self.capture_rate_hz, self.control_rate_hz, self.lowlevel_rate_hz) <= 0:
             raise ConfigInvalid("all rates must be positive")
         ratio = self.lowlevel_rate_hz / self.control_rate_hz
@@ -181,23 +161,9 @@ class PipelineConfig:
         return calibrate(default_human_neutral(), default_robot_model())
 
     def to_dict(self) -> dict:
-        d = {
-            "capture_rate_hz": self.capture_rate_hz,
-            "control_rate_hz": self.control_rate_hz,
-            "lowlevel_rate_hz": self.lowlevel_rate_hz,
-            "network_delay_s": self.network_delay_s,
-            "jitter_std_s": self.jitter_std_s,
-            "drop_prob": self.drop_prob,
-            "duration_s": self.duration_s,
-            "seed": self.seed,
-            "omega_n": self.omega_n,
-            "zeta": self.zeta,
-            "eta": self.eta,
-            "plant_inertia": self.plant_inertia,
-            "target_scale": self.target_scale,
-            "motion": self.motion.to_dict(),
-        }
-        if self.profile is not None:
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["motion"] = self.motion.to_dict()
+        if d.pop("profile") is not None:
             d["profile"] = self.profile.to_dict()
         return d
 
@@ -246,25 +212,23 @@ class PipelineRecord:
         return 1.0 / self.config.control_rate_hz
 
 
-@dataclass
-class _Transport:
-    """Phase 1 of a run: everything upstream of the plant."""
-
-    t: np.ndarray
-    human_signal: np.ndarray
-    q_ticks: np.ndarray  # (n_ticks, 1): held target per control tick, rad
-    qdot_ticks: np.ndarray  # (n_ticks, 1): its finite-difference velocity, rad/s
-    consumed: list[ConsumedFrame]
-    staleness_ns: list[int]
-    frames_emitted: int
-
-
-def _run_transport(config: PipelineConfig, n_steps: int, substeps: int) -> _Transport:
+def _run_transport(
+    config: PipelineConfig, n_steps: int, substeps: int
+) -> tuple[PipelineRecord, np.ndarray, np.ndarray]:
     """Emit, jitter, drop, deliver, read and retarget on the virtual clock.
 
-    Steps the low-level clock as the plant would, so every channel event
-    happens at the same step, in the same order, with the same draws from
-    the seeded generator; the plant never feeds back into any of it.
+    Returns the run's record without q (phase 2 fills it), whose t,
+    human_signal and q_target_held are read-only, and the held target per
+    control tick as (n_ticks, 1) arrays of q and its finite-difference
+    qdot.
+
+    The clock advances one control tick at a time. A tick emits every
+    capture due by then, drawing jitter and drop from the seeded generator
+    in seq order; writes every delivery due by then to the mailbox in
+    (arrival, seq) order; and reads the mailbox. Stepping every physics
+    step gives the same writes in the same order: a frame it delivers at a
+    later step always arrives strictly later. The plant never feeds back
+    into any of it.
     """
     rng = np.random.default_rng(config.seed)
     profile = config.resolve_profile()
@@ -281,26 +245,15 @@ def _run_transport(config: PipelineConfig, n_steps: int, substeps: int) -> _Tran
 
     dt = 1.0 / config.lowlevel_rate_hz
     control_dt = substeps * dt
-    mailbox = LatestValueMailbox()
-
     capture_dt = 1.0 / config.capture_rate_hz
+    mailbox = LatestValueMailbox()
+    deliveries: list[tuple[float, int, bytes]] = []
     next_capture = 0.0
     seq = 0
-    deliveries: list[tuple[float, int, bytes]] = []
-    consumed: list[ConsumedFrame] = []
-    staleness: list[int] = []
-    q_ticks: list[float] = []
-    qdot_ticks: list[float] = []
-    prev_target = 0.0
-    last_seq_used = -1
 
-    t_axis = np.empty(n_steps)
-    rec_human = np.empty(n_steps)
-
-    for k in range(n_steps):
-        t = k * dt
-
-        # Capture side: emit every frame due by now through the channel.
+    def advance(t: float) -> None:
+        """Emit every capture due by t, then deliver every frame due by t."""
+        nonlocal next_capture, seq
         while next_capture <= t + 1e-12:
             human[row, axis] = base + motion.displacement(next_capture)
             frame = PoseFrame(
@@ -316,43 +269,57 @@ def _run_transport(config: PipelineConfig, n_steps: int, substeps: int) -> _Tran
                 heapq.heappush(deliveries, (next_capture + delay, seq, payload))
             seq += 1
             next_capture += capture_dt
-
-        # Transport side: anything whose delay elapsed lands in the mailbox.
         while deliveries and deliveries[0][0] <= t + 1e-12:
             _, _, payload = heapq.heappop(deliveries)
             mailbox.write(decode_frame(payload))
 
+    consumed: list[ConsumedFrame] = []
+    staleness: list[int] = []
+    q_ticks: list[float] = []
+    qdot_ticks: list[float] = []
+    prev_target = 0.0
+    last_seq_used = -1
+    for k in range(0, n_steps, substeps):
         # Control tick: read newest, retarget, refresh held targets.
-        if k % substeps == 0:
-            now_ns = int(round(t * 1e9))
-            result = mailbox.read(now_ns)
-            target = prev_target
-            if result.frame is not None:
-                pos = map_frame(profile, result.frame.links).array[row, axis]
-                target = float(config.target_scale * (pos - neutral_target))
-                if result.frame.seq != last_seq_used:
-                    consumed.append(
-                        ConsumedFrame(result.frame.seq, result.frame.timestamp_ns, now_ns)
-                    )
-                    last_seq_used = result.frame.seq
-                staleness.append(result.staleness_ns)
-            q_ticks.append(target)
-            qdot_ticks.append((target - prev_target) / control_dt)
-            prev_target = target
+        t = k * dt
+        advance(t)
+        now_ns = int(round(t * 1e9))
+        result = mailbox.read(now_ns)
+        target = prev_target
+        if result.frame is not None:
+            pos = map_frame(profile, result.frame.links).array[row, axis]
+            target = float(config.target_scale * (pos - neutral_target))
+            if result.frame.seq != last_seq_used:
+                consumed.append(ConsumedFrame(result.frame.seq, result.frame.timestamp_ns, now_ns))
+                last_seq_used = result.frame.seq
+            staleness.append(result.staleness_ns)
+        q_ticks.append(target)
+        qdot_ticks.append((target - prev_target) / control_dt)
+        prev_target = target
+    # The channel runs on to the last physics step, so frames_emitted and
+    # the decodes count the frames a per-physics-step clock would.
+    advance((n_steps - 1) * dt)
 
-        t_post = t + dt
-        t_axis[k] = t_post
-        rec_human[k] = motion.displacement(t_post)
-
-    return _Transport(
+    # The time after each physics step, k * dt + dt, and math.sin sample
+    # by sample (a vectorized sin may differ in the last bit).
+    t_axis = np.arange(n_steps) * dt + dt
+    human_signal = np.fromiter(
+        (motion.displacement(k * dt + dt) for k in range(n_steps)), float, n_steps
+    )
+    q_target_held = np.repeat(q_ticks, substeps)[:n_steps]
+    for shared in (t_axis, human_signal, q_target_held):
+        shared.flags.writeable = False
+    record = PipelineRecord(
         t=t_axis,
-        human_signal=rec_human,
-        q_ticks=np.array(q_ticks)[:, None],
-        qdot_ticks=np.array(qdot_ticks)[:, None],
+        human_signal=human_signal,
+        q_target_held=q_target_held,
+        q=None,
         consumed=consumed,
         staleness_ns=staleness,
         frames_emitted=seq,
+        config=config,
     )
+    return record, np.array(q_ticks)[:, None], np.array(qdot_ticks)[:, None]
 
 
 def run_pipeline_sweep(config: PipelineConfig, etas) -> Iterator[PipelineRecord]:
@@ -379,19 +346,13 @@ def run_pipeline_sweep(config: PipelineConfig, etas) -> Iterator[PipelineRecord]
         )
         for c in configs
     ]
-    tr = _run_transport(config, n_steps, substeps)
-    q_target_held = np.repeat(tr.q_ticks[:, 0], substeps)[:n_steps]
-    for shared in (tr.t, tr.human_signal, q_target_held):
-        shared.flags.writeable = False
+    shared, q_ticks, qdot_ticks = _run_transport(config, n_steps, substeps)
     for c, g in zip(configs, gains):
-        yield PipelineRecord(
-            t=tr.t,
-            human_signal=tr.human_signal,
-            q_target_held=q_target_held,
-            q=held_joint_q(plant, g, tr.q_ticks, tr.qdot_ticks, substeps, n_steps)[:, 0],
-            consumed=list(tr.consumed),
-            staleness_ns=list(tr.staleness_ns),
-            frames_emitted=tr.frames_emitted,
+        yield replace(
+            shared,
+            q=held_joint_q(plant, g, q_ticks, qdot_ticks, substeps, n_steps)[:, 0],
+            consumed=list(shared.consumed),
+            staleness_ns=list(shared.staleness_ns),
             config=c,
         )
 
@@ -424,17 +385,7 @@ class LatencyBudget:
         return self.transport_ms + self.hold_ms + self.control_ms
 
     def to_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "transport_ms": self.transport_ms,
-            "hold_ms": self.hold_ms,
-            "control_ms": self.control_ms,
-            "overall_ms": self.overall_ms,
-            "components_sum_ms": self.components_sum_ms,
-            "control_confidence": self.control_confidence,
-            "overall_confidence": self.overall_confidence,
-            "theory_control_ms": self.theory_control_ms,
-        }
+        return {**asdict(self), "components_sum_ms": self.components_sum_ms}
 
 
 def latency_budget(record: PipelineRecord) -> LatencyBudget:
@@ -485,11 +436,7 @@ class LatencyFit:
     r_squared: float
 
     def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "intercept_ms": self.intercept_ms,
-            "r_squared": self.r_squared,
-        }
+        return asdict(self)
 
 
 def fit_latency_line(control_ms, overall_ms) -> LatencyFit:

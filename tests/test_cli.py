@@ -16,7 +16,7 @@ import pytest
 from conftest import IDENTITY, make_links
 import extremctl
 from extremctl import fileio
-from extremctl.cli import _parse_etas, _parse_reference, main
+from extremctl.cli import _HANDLERS, _parse_etas, _parse_reference, main
 from extremctl.latency import MotionSignal
 from extremctl.mapping import LINKS, CalibrationProfile, LinkSet, RobotModel, calibrate, map_frame
 from extremctl.pipeline import MotionSpec, default_human_neutral, default_robot_model
@@ -298,6 +298,82 @@ def test_malformed_pose_or_model_value_exits_one_naming_it(tmp_path, capsys, com
     assert err.count("\n") == 1
     diag = json.loads(err)
     assert diag["error"] == "ValueError" and named in diag["message"]
+    assert not out.exists()
+
+
+def _map_with_profile_value(tmp_path, capsys, path, value):
+    """extremctl map with one value of a calibrated profile replaced; the
+    JSON diagnostic, after checking the exit code and that no output was
+    written."""
+    d = fileio.load_json(str(_calibrated_profile(tmp_path)))
+    parent = d
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    fileio.dump_json(str(tmp_path / "bad.json"), d)
+    out = tmp_path / "out"
+    assert main(["map", "--profile", str(tmp_path / "bad.json"),
+                 "--frames", str(tmp_path / "frames.jsonl"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and not out.exists()
+    return json.loads(err)
+
+
+@pytest.mark.parametrize("path", [["pelvis_height_m"], ["arm_length_m", "left"],
+                                  ["arm_length_m", "right"]], ids=" ".join)
+@pytest.mark.parametrize("value", [0, -1.0])
+def test_map_refuses_non_positive_profile_length_naming_it(tmp_path, capsys, path, value):
+    """A zero length used to escape as a ZeroDivisionError traceback; a
+    negative pelvis height ran and mirrored the stream."""
+    diag = _map_with_profile_value(tmp_path, capsys, path, value)
+    assert diag == {"error": "ValueError",
+                    "message": f"{' '.join(path)} {float(value)!r} must be a positive finite number"}
+
+
+@pytest.mark.parametrize("path, named", [(["rot_offset", "pelvis"], "rot_offset pelvis"),
+                                         (["anchor", "q"], "anchor q")])
+def test_map_refuses_zero_profile_quaternion_naming_it(tmp_path, capsys, path, named):
+    diag = _map_with_profile_value(tmp_path, capsys, path, [0, 0, 0, 0])
+    assert diag == {"error": "ZeroVector",
+                    "message": f"{named}: quaternion norm 0.0 is not normalizable"}
+
+
+# Per command, a --config key one letter off a flag of the command; "eta"
+# is a pipeline flag but not a delay-curve one, and "etas" the reverse.
+MISSPELT = {"calibrate-map": "nuetral", "map": "frame", "calibrate-gains": "omegan",
+            "simulate": "control_dtt", "delay-curve": "eta", "latency": "signal-c",
+            "pipeline": "etas"}
+
+
+@pytest.mark.parametrize("command", sorted(_HANDLERS))
+def test_config_unknown_key_exits_one_naming_it(tmp_path, capsys, command):
+    """Every command refuses a --config key that is not one of its flags
+    (in either spelling), before it reads any input or writes any output."""
+    cfg = tmp_path / "cfg.json"
+    fileio.dump_json(str(cfg), {"seed": 1, MISSPELT[command]: 5})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": f"{cfg}: unknown key '{MISSPELT[command]}'"}
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("config, error, named", [
+    ({"omega_n": True}, "ConfigInvalid", "omega_n True must be a finite number"),
+    ({"motion": {"axis": 2.7}}, "ValueError", "axis 2.7 must be the integer 0, 1 or 2"),
+    ({"motion": {"amplitude_m": "0.1"}}, "ValueError", "amplitude_m '0.1' must be a finite number"),
+])
+def test_pipeline_config_value_not_a_json_number_exits_one_naming_it(tmp_path, capsys, config,
+                                                                     error, named):
+    """A bool used to run as 1 and was recorded as true; a float axis ran
+    truncated, and a numeric string ran as its number."""
+    cfg = tmp_path / "cfg.json"
+    fileio.dump_json(str(cfg), {**config, "duration_s": 5})
+    out = tmp_path / "run.json"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": error, "message": named}
     assert not out.exists()
 
 

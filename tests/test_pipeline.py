@@ -1,22 +1,31 @@
 """End-to-end harness: seeded determinism, transport bookkeeping,
-latency accounting and config validation."""
+latency accounting and config validation, and bit-for-bit agreement of
+the per-control-tick transport with a reference copy of the former loop
+over every physics step."""
 
-from dataclasses import replace
+import heapq
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from extremctl import pipeline
+from extremctl.mapping import LinkSet, _row, map_frame
 from extremctl.pipeline import (
     ConfigInvalid,
+    ConsumedFrame,
     InsufficientPoints,
     MotionSpec,
     PipelineConfig,
+    PipelineRecord,
+    default_human_neutral,
     fit_latency_line,
     latency_budget,
     run_pipeline,
     run_pipeline_sweep,
 )
-from extremctl.plant import NumericalBlowup
+from extremctl.plant import DecoupledLinear, GainSchedule, NumericalBlowup, held_joint_q
+from extremctl.wire import LatestValueMailbox, PoseFrame, decode_frame, encode_frame
 
 
 def test_same_seed_same_run():
@@ -166,6 +175,24 @@ def test_motion_spec_validation():
         PipelineConfig.from_dict({"motion": {"link": "foo"}})
 
 
+def test_config_and_motion_refuse_bools_strings_and_float_axes():
+    """Values a JSON config can hold that are not the numbers the fields
+    take: a bool is not a number, and an axis must be an int."""
+    for field in ("omega_n", "duration_s", "drop_prob"):
+        with pytest.raises(ConfigInvalid, match=f"^{field} True must be a finite number"):
+            PipelineConfig(**{field: True})
+        with pytest.raises(ConfigInvalid, match=f"^{field} '1' must be a finite number"):
+            PipelineConfig(**{field: "1"})
+    for axis in (True, 2.0, 2.7, "2"):
+        with pytest.raises(ValueError, match=f"^axis {axis!r} must be the integer 0, 1 or 2"):
+            MotionSpec.from_dict({"axis": axis})
+    with pytest.raises(ValueError, match="^amplitude_m '0.1' must be a finite number"):
+        MotionSpec.from_dict({"amplitude_m": "0.1"})
+    with pytest.raises(ValueError, match="^link 2 not one of"):
+        MotionSpec.from_dict({"link": 2})
+    assert MotionSpec.from_dict({"axis": 0, "amplitude_m": 1}) == MotionSpec(amplitude_m=1, axis=0)
+
+
 def test_fit_line_recovers_exact_relation():
     x = np.array([10.0, 20.0, 30.0, 40.0])
     fit = fit_latency_line(x, 0.6 * x + 20.0)
@@ -176,3 +203,148 @@ def test_fit_line_recovers_exact_relation():
         fit_latency_line([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         fit_latency_line([1.0, 2.0, 3.0], [1.0, 2.0])
+
+
+class LoggingMailbox(LatestValueMailbox):
+    """A mailbox that logs the seq of every frame written to it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.log = []
+
+    def write(self, frame) -> None:
+        self.log.append(frame.seq)
+        super().write(frame)
+
+
+def reference_transport(config, n_steps, substeps, mailbox):
+    """The former phase 1, kept as the reference: it steps the virtual
+    clock through every physics step and reads the mailbox at every
+    control tick."""
+    rng = np.random.default_rng(config.seed)
+    profile = config.resolve_profile()
+    motion = config.motion
+    row, axis = _row(motion.link), motion.axis
+    neutral = default_human_neutral()
+    human = neutral.array.copy()
+    base = float(human[row, axis])
+    neutral_target = map_frame(profile, neutral).array[row, axis]
+    dt = 1.0 / config.lowlevel_rate_hz
+    control_dt = substeps * dt
+    capture_dt = 1.0 / config.capture_rate_hz
+    next_capture = 0.0
+    seq = 0
+    deliveries = []
+    consumed, staleness, q_ticks, qdot_ticks = [], [], [], []
+    prev_target = 0.0
+    last_seq_used = -1
+    t_axis = np.empty(n_steps)
+    rec_human = np.empty(n_steps)
+    for k in range(n_steps):
+        t = k * dt
+        while next_capture <= t + 1e-12:
+            human[row, axis] = base + motion.displacement(next_capture)
+            frame = PoseFrame(
+                seq=seq,
+                timestamp_ns=int(round(next_capture * 1e9)),
+                links=LinkSet.from_array(human),
+            )
+            payload = encode_frame(frame)
+            jitter = config.jitter_std_s * float(rng.standard_normal())
+            delay = max(0.0, config.network_delay_s + jitter)
+            dropped = float(rng.random()) < config.drop_prob
+            if not dropped:
+                heapq.heappush(deliveries, (next_capture + delay, seq, payload))
+            seq += 1
+            next_capture += capture_dt
+        while deliveries and deliveries[0][0] <= t + 1e-12:
+            _, _, payload = heapq.heappop(deliveries)
+            mailbox.write(decode_frame(payload))
+        if k % substeps == 0:
+            now_ns = int(round(t * 1e9))
+            result = mailbox.read(now_ns)
+            target = prev_target
+            if result.frame is not None:
+                pos = map_frame(profile, result.frame.links).array[row, axis]
+                target = float(config.target_scale * (pos - neutral_target))
+                if result.frame.seq != last_seq_used:
+                    consumed.append(
+                        ConsumedFrame(result.frame.seq, result.frame.timestamp_ns, now_ns)
+                    )
+                    last_seq_used = result.frame.seq
+                staleness.append(result.staleness_ns)
+            q_ticks.append(target)
+            qdot_ticks.append((target - prev_target) / control_dt)
+            prev_target = target
+        t_post = t + dt
+        t_axis[k] = t_post
+        rec_human[k] = motion.displacement(t_post)
+    return (t_axis, rec_human, np.array(q_ticks)[:, None], np.array(qdot_ticks)[:, None],
+            consumed, staleness, seq)
+
+
+def reference_sweep(config, etas, mailbox):
+    """The former run_pipeline_sweep over reference_transport."""
+    dt = 1.0 / config.lowlevel_rate_hz
+    substeps = int(round(config.lowlevel_rate_hz / config.control_rate_hz))
+    n_steps = int(round(config.duration_s * config.lowlevel_rate_hz))
+    plant = DecoupledLinear(inertia=np.array([config.plant_inertia]), physics_dt=dt)
+    t, human, q_ticks, qdot_ticks, consumed, staleness, emitted = reference_transport(
+        config, n_steps, substeps, mailbox
+    )
+    for eta in etas:
+        c = replace(config, eta=eta)
+        g = GainSchedule.from_impedance(m_eff=plant.inertia, omega_n=c.omega_n, zeta=c.zeta,
+                                        eta=c.eta)
+        yield PipelineRecord(
+            t=t,
+            human_signal=human,
+            q_target_held=np.repeat(q_ticks[:, 0], substeps)[:n_steps],
+            q=held_joint_q(plant, g, q_ticks, qdot_ticks, substeps, n_steps)[:, 0],
+            consumed=list(consumed),
+            staleness_ns=list(staleness),
+            frames_emitted=emitted,
+            config=c,
+        )
+
+
+EDGE = dict(duration_s=5.0, seed=4)
+
+
+@pytest.mark.parametrize("config", [
+    PipelineConfig(**EDGE),  # no delay, no jitter, no drops
+    PipelineConfig(**EDGE, capture_rate_hz=50.0),
+    # jitter four times the delay reorders frames on the wire
+    PipelineConfig(**EDGE, capture_rate_hz=1000.0, network_delay_s=0.005, jitter_std_s=0.02),
+    PipelineConfig(**EDGE, capture_rate_hz=33.0, control_rate_hz=40.0, jitter_std_s=0.05,
+                   drop_prob=0.3),
+    PipelineConfig(**EDGE, control_rate_hz=1000.0, network_delay_s=0.0331),  # one substep
+    # the benchmark's network config
+    PipelineConfig(network_delay_s=0.010, jitter_std_s=0.004, drop_prob=0.02, duration_s=12.0,
+                   seed=1),
+], ids=["defaults", "capture-50hz", "reordering", "drops-40hz-control", "one-substep",
+        "benchmark-network"])
+def test_transport_per_tick_equals_per_physics_step_reference(config, monkeypatch):
+    """Every record field, and every mailbox write in order, equals the
+    former per-physics-step loop's, bit for bit."""
+    etas = [0.0, 0.9]
+    reference_box = LoggingMailbox()
+    expected = list(reference_sweep(config, etas, reference_box))
+    boxes = []
+
+    def logging_mailbox():
+        boxes.append(LoggingMailbox())
+        return boxes[-1]
+
+    monkeypatch.setattr(pipeline, "LatestValueMailbox", logging_mailbox)
+    got = list(run_pipeline_sweep(config, etas))
+    assert len(boxes) == 1 and boxes[0].log == reference_box.log
+    assert len(got) == len(expected) == 2
+    for g, e in zip(got, expected):
+        for f in fields(PipelineRecord):
+            a, b = getattr(g, f.name), getattr(e, f.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and a.shape == b.shape, f.name
+                assert a.tobytes() == b.tobytes(), f.name
+            else:
+                assert a == b, f.name
