@@ -81,6 +81,9 @@ def _load_object(path) -> dict:
     return d
 
 
+_KINDS = {int: "an integer", float: "a number", str: "a string"}
+
+
 class _Merged:
     """Flag/--config/default resolution; flags win, then config, then default.
     A --config key that names no flag (nor, for pipeline, a PipelineConfig
@@ -95,18 +98,27 @@ class _Merged:
             keys |= set(PipelineConfig.__dataclass_fields__)
         _check_keys(self.config, keys, str(args.config))
 
-    def get(self, name: str, default=None, cast=None):
+    def get(self, name: str, default=None, kind: type = str):
+        """The flag's value, else the --config value, else default. A
+        --config value must be of the flag's JSON kind: an int flag takes
+        an int, a float flag a number, a string flag a string, and none
+        takes a bool; anything else is refused naming the key."""
         value = getattr(self.args, name.replace("-", "_"), None)
+        if value is not None:
+            return value
+        key = name if name in self.config else name.replace("-", "_")
+        value = self.config.get(key)
         if value is None:
-            value = self.config.get(name, self.config.get(name.replace("-", "_")))
-        if value is None:
-            value = default
-        if value is not None and cast is not None:
-            value = cast(value)
-        return value
+            return default
+        if type(value) is kind or (kind is float and type(value) is int):
+            try:
+                return kind(value)
+            except OverflowError:
+                pass
+        raise ValueError(f"{self.args.config}: {key} {value!r} must be {_KINDS[kind]}")
 
     def seed(self) -> int:
-        value = self.get("seed")
+        value = self.get("seed", kind=int)
         if value is None:
             value = os.environ.get("EXTREMCTL_SEED")
         return int(value) if value is not None else 0
@@ -220,8 +232,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_delay_curve(args: argparse.Namespace) -> int:
     m = _Merged(args)
     etas = _parse_etas(m.get("etas", "0,0.2,0.4,0.6,0.8,0.9"))
+    omega_n = m.get("omega-n", 10.0, float)
     points = simulate_delay_curve(
-        omega_n=m.get("omega-n", 10.0, float),
+        omega_n=omega_n,
         etas=etas,
         control_dt=m.get("control-dt", 0.02, float),
         wave_omega=m.get("wave-omega", 3.14, float),
@@ -234,7 +247,7 @@ def _cmd_delay_curve(args: argparse.Namespace) -> int:
                 f"{_fmt(p.eta)},{_fmt(p.theory_s * 1e3)},"
                 f"{_fmt(p.measured_s * 1e3)},{_fmt(p.confidence)}\n"
             )
-    _write_meta(args.out, "delay-curve", {"etas": etas, "omega_n": m.get("omega-n", 10.0, float)})
+    _write_meta(args.out, "delay-curve", {"etas": etas, "omega_n": omega_n})
     return 0
 
 
@@ -246,6 +259,7 @@ def _cmd_latency(args: argparse.Namespace) -> int:
     max_lag = m.get("max-lag", 1.0, float)
     if not (math.isfinite(max_lag) and max_lag > 0):
         raise ValueError(f"--max-lag: max_lag_s {max_lag} must be finite and positive")
+    block, radius = m.get("block", 8, int), m.get("radius", 4, int)
 
     def region(which: str) -> RegionSpec:
         text = m.get(f"region-{which}")
@@ -278,8 +292,8 @@ def _cmd_latency(args: argparse.Namespace) -> int:
         region_b=region_b,
         fps=fps,
         max_lag_s=max_lag,
-        block=m.get("block", 8, int),
-        radius=m.get("radius", 4, int),
+        block=block,
+        radius=radius,
     )
     fileio.dump_json(args.out, report.to_dict())
     _write_meta(args.out, "latency", {"fps": fps, "max_lag_s": max_lag})
@@ -301,7 +315,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     sweep = m.get("eta-sweep")
     out: dict = {"config": config.to_dict()}
     if sweep is not None:
-        etas = _parse_etas(sweep) if isinstance(sweep, str) else [float(e) for e in sweep]
+        etas = _parse_etas(sweep)
         budgets = [latency_budget(r) for r in run_pipeline_sweep(config, etas)]
         out["budgets"] = [b.to_dict() for b in budgets]
         if len(budgets) >= 3:

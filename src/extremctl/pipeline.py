@@ -12,21 +12,25 @@ The harness drives one decoupled joint from an extremity signal instead of
 a learned whole-body policy; that isolates transport, hold, and controller
 response, the quantities the latency budget decomposes.
 
-A run has two phases. Phase 1, the transport, steps the virtual clock
-once per control tick through emit, jitter, drop, delivery, mailbox,
-map_frame and the held target, and records one held (q, qdot) target
-per tick; the mailbox sees the writes a clock stepped per physics step
-would make, in the same order. Nothing in phase 1 depends on eta, zeta,
-omega_n or the plant inertia. Phase 2, the plant, integrates the joint
-under those held targets with plant.held_joint_q, the integrator
-run_episode uses too.
+A run has two phases. Phase 1, the transport, runs on arrays. A scalar
+loop emits every capture up to the last physics step, drawing its jitter
+and drop from the seeded generator. One wire.encode_frames packs every
+frame; one wire.decode_frames reads back the ones delivered by the last
+physics step, in (arrival, seq) order; one mapping.map_frames retargets
+them. The virtual clock then steps once per control tick: each delivery
+is written to the latest-value mailbox at the first tick it is due, the
+mailbox is read, and one held (q, qdot) target is recorded per tick. The
+mailbox sees the writes a clock stepped per physics step would make, in
+the same order. Nothing in phase 1 depends on eta, zeta, omega_n or the
+plant inertia. Phase 2, the plant, integrates the joint under those
+held targets with plant.held_joint_q, the integrator run_episode uses
+too.
 run_pipeline is phase 1 then phase 2; run_pipeline_sweep runs phase 1
 once and phase 2 once per eta, and its records equal run_pipeline's.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Iterator
@@ -35,11 +39,20 @@ import numpy as np
 
 from .errors import ExtremControlError
 from .latency import MotionSignal, estimate_lag
-from .mapping import LINKS, CalibrationProfile, LinkSet, RobotModel, calibrate, map_frame
-from .mapping import _real, _row
+from .mapping import (
+    LINKS,
+    CalibrationProfile,
+    LinkSet,
+    RobotModel,
+    calibrate,
+    map_frame,
+    map_frames,
+)
+from .mapping import _real, _row, _wrap
 from .plant import SETTLE_S, DecoupledLinear, GainSchedule, _check_keys, equivalent_delay
 from .plant import held_joint_q, step  # noqa: F401  (perfbench's tracer wraps pipeline.step)
-from .wire import LatestValueMailbox, PoseFrame, decode_frame, encode_frame
+from .wire import FRAME_DTYPE, LatestValueMailbox, PoseFrame, decode_frames, encode_frames
+from .wire import decode_frame, encode_frame  # noqa: F401  (perfbench's tracer wraps these)
 
 
 class ConfigInvalid(ExtremControlError):
@@ -103,6 +116,13 @@ class MotionSpec:
 
     def displacement(self, t: float) -> float:
         return self.amplitude_m * math.sin(math.tau * self.frequency_hz * t)
+
+    def displacements(self, times: np.ndarray) -> np.ndarray:
+        """displacement at each of the times, bit for bit: the products are
+        vectorized, math.sin runs sample by sample (a vectorized sin may
+        differ in the last bit)."""
+        phase = (math.tau * self.frequency_hz) * times
+        return self.amplitude_m * np.fromiter(map(math.sin, phase.tolist()), float, len(phase))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -222,13 +242,16 @@ def _run_transport(
     control tick as (n_ticks, 1) arrays of q and its finite-difference
     qdot.
 
-    The clock advances one control tick at a time. A tick emits every
-    capture due by then, drawing jitter and drop from the seeded generator
-    in seq order; writes every delivery due by then to the mailbox in
-    (arrival, seq) order; and reads the mailbox. Stepping every physics
-    step gives the same writes in the same order: a frame it delivers at a
-    later step always arrives strictly later. The plant never feeds back
-    into any of it.
+    Every capture up to the last physics step is emitted first, drawing
+    jitter and then drop from the seeded generator in seq order. The
+    frames go through one encode_frames; the deliveries due by the last
+    physics step, sorted by (arrival, seq), through one decode_frames and
+    one map_frames. The clock then advances one control tick at a time:
+    a tick writes every delivery due by then to the mailbox and reads it.
+    A clock stepped per physics step makes the same writes in the same
+    order: a frame read at tick t arrived by t + 1e-12, and every frame
+    emitted after it is captured, and so arrives, after that. The plant
+    never feeds back into any of it.
     """
     rng = np.random.default_rng(config.seed)
     profile = config.resolve_profile()
@@ -237,42 +260,44 @@ def _run_transport(
 
     # Motion always plays out around the built-in performer's neutral; a
     # custom profile is applied to those frames as-is. Each human frame is
-    # the neutral array with one translation entry moved.
+    # the neutral's validated array with one translation entry moved.
     neutral = default_human_neutral()
-    human = neutral.array.copy()
-    base = float(human[row, axis])
+    base = float(neutral.array[row, axis])
     neutral_target = map_frame(profile, neutral).array[row, axis]
 
     dt = 1.0 / config.lowlevel_rate_hz
     control_dt = substeps * dt
     capture_dt = 1.0 / config.capture_rate_hz
-    mailbox = LatestValueMailbox()
-    deliveries: list[tuple[float, int, bytes]] = []
+    horizon = (n_steps - 1) * dt + 1e-12
+    captures: list[float] = []
+    stamps: list[int] = []
+    due: list[tuple[float, int]] = []  # (arrival, seq) of each delivery by the horizon
     next_capture = 0.0
-    seq = 0
+    while next_capture <= horizon:
+        seq = len(captures)
+        captures.append(next_capture)
+        stamps.append(int(round(next_capture * 1e9)))
+        jitter = config.jitter_std_s * float(rng.standard_normal())
+        delay = max(0.0, config.network_delay_s + jitter)
+        dropped = float(rng.random()) < config.drop_prob
+        if not dropped and next_capture + delay <= horizon:
+            due.append((next_capture + delay, seq))
+        next_capture += capture_dt
+    due.sort()
 
-    def advance(t: float) -> None:
-        """Emit every capture due by t, then deliver every frame due by t."""
-        nonlocal next_capture, seq
-        while next_capture <= t + 1e-12:
-            human[row, axis] = base + motion.displacement(next_capture)
-            frame = PoseFrame(
-                seq=seq,
-                timestamp_ns=int(round(next_capture * 1e9)),
-                links=LinkSet.from_array(human),
-            )
-            payload = encode_frame(frame)
-            jitter = config.jitter_std_s * float(rng.standard_normal())
-            delay = max(0.0, config.network_delay_s + jitter)
-            dropped = float(rng.random()) < config.drop_prob
-            if not dropped:
-                heapq.heappush(deliveries, (next_capture + delay, seq, payload))
-            seq += 1
-            next_capture += capture_dt
-        while deliveries and deliveries[0][0] <= t + 1e-12:
-            _, _, payload = heapq.heappop(deliveries)
-            mailbox.write(decode_frame(payload))
+    human = np.repeat(LinkSet.from_array(neutral.array).array[None], len(captures), axis=0)
+    human[:, row, axis] = base + motion.displacements(np.array(captures))
+    sent = np.frombuffer(encode_frames(range(len(captures)), stamps, human), FRAME_DTYPE)
+    del human  # each buffer is freed once used: map_frames is the run's peak
+    seqs, stamps_ns, poses = decode_frames(sent[[seq for _, seq in due]])
+    del sent
+    seqs = seqs.tolist()
+    pos = map_frames(profile, poses)[:, row, axis].copy()
+    targets = dict(zip(seqs, (config.target_scale * (pos - neutral_target)).tolist()))
+    frames = (PoseFrame(s, ts, _wrap(p)) for s, ts, p in zip(seqs, stamps_ns.tolist(), poses))
 
+    mailbox = LatestValueMailbox()
+    written = 0
     consumed: list[ConsumedFrame] = []
     staleness: list[int] = []
     q_ticks: list[float] = []
@@ -280,15 +305,16 @@ def _run_transport(
     prev_target = 0.0
     last_seq_used = -1
     for k in range(0, n_steps, substeps):
-        # Control tick: read newest, retarget, refresh held targets.
+        # Control tick: deliver what is due, read newest, refresh held targets.
         t = k * dt
-        advance(t)
+        while written < len(due) and due[written][0] <= t + 1e-12:
+            mailbox.write(next(frames))
+            written += 1
         now_ns = int(round(t * 1e9))
         result = mailbox.read(now_ns)
         target = prev_target
         if result.frame is not None:
-            pos = map_frame(profile, result.frame.links).array[row, axis]
-            target = float(config.target_scale * (pos - neutral_target))
+            target = targets[result.frame.seq]
             if result.frame.seq != last_seq_used:
                 consumed.append(ConsumedFrame(result.frame.seq, result.frame.timestamp_ns, now_ns))
                 last_seq_used = result.frame.seq
@@ -296,16 +322,14 @@ def _run_transport(
         q_ticks.append(target)
         qdot_ticks.append((target - prev_target) / control_dt)
         prev_target = target
-    # The channel runs on to the last physics step, so frames_emitted and
-    # the decodes count the frames a per-physics-step clock would.
-    advance((n_steps - 1) * dt)
+    # The channel runs on to the last physics step, so the mailbox sees
+    # every write a per-physics-step clock would make.
+    for frame in frames:
+        mailbox.write(frame)
 
-    # The time after each physics step, k * dt + dt, and math.sin sample
-    # by sample (a vectorized sin may differ in the last bit).
+    # The time after each physics step, k * dt + dt.
     t_axis = np.arange(n_steps) * dt + dt
-    human_signal = np.fromiter(
-        (motion.displacement(k * dt + dt) for k in range(n_steps)), float, n_steps
-    )
+    human_signal = motion.displacements(t_axis)
     q_target_held = np.repeat(q_ticks, substeps)[:n_steps]
     for shared in (t_axis, human_signal, q_target_held):
         shared.flags.writeable = False
@@ -316,7 +340,7 @@ def _run_transport(
         q=None,
         consumed=consumed,
         staleness_ns=staleness,
-        frames_emitted=seq,
+        frames_emitted=len(captures),
         config=config,
     )
     return record, np.array(q_ticks)[:, None], np.array(qdot_ticks)[:, None]

@@ -377,6 +377,40 @@ def test_pipeline_config_value_not_a_json_number_exits_one_naming_it(tmp_path, c
     assert not out.exists()
 
 
+def test_pipeline_config_fractional_seed_exits_one_naming_it(tmp_path, capsys):
+    """An int() cast used to run "seed": 1.9 as seed 1 and record 1."""
+    cfg = tmp_path / "cfg.json"
+    fileio.dump_json(str(cfg), {"seed": 1.9, "duration_s": 5})
+    assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run.json")]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": f"{cfg}: seed 1.9 must be an integer"}
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("command, config, named", [
+    # float() used to run true as 1.0 and record "omega_n": 1.0
+    ("delay-curve", {"duration": 4.0, "etas": "0.9", "omega-n": True}, "omega-n True must be a number"),
+    ("delay-curve", {"etas": 0.9}, "etas 0.9 must be a string"),
+    ("latency", {"fps": "30"}, "fps '30' must be a number"),
+    ("latency", {"block": 8.0}, "block 8.0 must be an integer"),
+    ("pipeline", {"eta_sweep": [0, 0.9], "duration_s": 5}, "eta_sweep [0, 0.9] must be a string"),
+])
+def test_config_value_not_of_its_flags_kind_exits_one_naming_it(tmp_path, capsys, command,
+                                                                config, named):
+    """A --config value must be of its flag's JSON kind: an int flag takes
+    an int, a float flag a number, a string flag a string, none a bool."""
+    cfg = tmp_path / "cfg.json"
+    fileio.dump_json(str(cfg), config)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == "latency":
+        argv += ["--frames-a", "a", "--frames-b", "b", "--region-a", "0,0,8,8,1,0",
+                 "--region-b", "0,0,8,8,1,0"]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError",
+                                                   "message": f"{cfg}: {named}"}
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 # ------------------------------------------------------- episode commands
 
 

@@ -322,8 +322,11 @@ EDGE = dict(duration_s=5.0, seed=4)
     # the benchmark's network config
     PipelineConfig(network_delay_s=0.010, jitter_std_s=0.004, drop_prob=0.02, duration_s=12.0,
                    seed=1),
+    PipelineConfig(duration_s=2.0, seed=4, network_delay_s=5.0),  # nothing is delivered
+    PipelineConfig(**EDGE, drop_prob=0.99, jitter_std_s=0.03),
+    PipelineConfig(duration_s=0.001, seed=4),  # one physics step
 ], ids=["defaults", "capture-50hz", "reordering", "drops-40hz-control", "one-substep",
-        "benchmark-network"])
+        "benchmark-network", "nothing-delivered", "drops-99pct", "one-physics-step"])
 def test_transport_per_tick_equals_per_physics_step_reference(config, monkeypatch):
     """Every record field, and every mailbox write in order, equals the
     former per-physics-step loop's, bit for bit."""
