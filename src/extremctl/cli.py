@@ -275,7 +275,7 @@ def _cmd_latency(args: argparse.Namespace) -> int:
         before any input is read or matched."""
         for kind, reader in (
             ("signal", fileio.read_signal_csv),
-            ("flows", fileio.read_flow_dir),
+            ("flows", fileio.iter_flow_dir),
             ("frames", fileio.read_frame_dir),
         ):
             path = m.get(f"{kind}-{which}")

@@ -12,7 +12,7 @@ import json
 import struct
 from array import array
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -33,16 +33,21 @@ def write_flow(path, flow: FlowField) -> None:
 
 
 def read_flow(path) -> FlowField:
+    """One XFLW field; every refusal names the file."""
     data = Path(path).read_bytes()
     if len(data) < _FLOW_HEADER.size:
-        raise ShortRead(f"{len(data)} bytes, need {_FLOW_HEADER.size} header")
+        raise ShortRead(f"{path}: {len(data)} bytes, need {_FLOW_HEADER.size} header")
     magic, w, h, _reserved = _FLOW_HEADER.unpack_from(data)
     if magic != FLOW_MAGIC:
-        raise BadMagic(f"{magic!r}")
+        raise BadMagic(f"{path}: {magic!r}")
+    if w == 0 or h == 0:
+        raise ValueError(f"{path}: empty {w}x{h} flow")
     need = _FLOW_HEADER.size + 2 * 4 * w * h
     if len(data) < need:
-        raise ShortRead(f"{len(data)} bytes, need {need} for {w}x{h} flow")
+        raise ShortRead(f"{path}: {len(data)} bytes, need {need} for {w}x{h} flow")
     planes = np.frombuffer(data, dtype="<f4", count=2 * w * h, offset=_FLOW_HEADER.size)
+    if not np.isfinite(planes).all():
+        raise ValueError(f"{path}: flow contains non-finite entries")
     u = planes[: w * h].reshape(h, w).astype(float)
     v = planes[w * h :].reshape(h, w).astype(float)
     return FlowField(u=u, v=v)
@@ -86,11 +91,11 @@ def read_pgm(path) -> np.ndarray:
     pos += 1  # single whitespace after maxval
     if maxval <= 0 or maxval > 65535:
         raise ValueError(f"{path}: bad maxval {maxval}")
-    dtype = np.uint8 if maxval < 256 else ">u2"
+    dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
     count = w * h
-    pixels = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
-    if pixels.size < count:
+    if count * dtype.itemsize > len(data) - pos:
         raise ValueError(f"{path}: truncated PGM pixel data")
+    pixels = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
     return pixels.reshape(h, w).astype(np.uint8 if maxval < 256 else np.uint16)
 
 
@@ -101,11 +106,19 @@ def read_frame_dir(path) -> list[np.ndarray]:
     return [read_pgm(f) for f in files]
 
 
-def read_flow_dir(path) -> list[FlowField]:
+def iter_flow_dir(path) -> Iterator[FlowField]:
+    """read_flow over the sorted *.xflw files of a directory, one file per
+    item, so a consumer that drops each field holds one at a time. A
+    directory without such files is refused at once."""
     files = sorted(Path(path).glob("*.xflw"))
     if not files:
         raise ValueError(f"no *.xflw files in {path}")
-    return [read_flow(f) for f in files]
+    return map(read_flow, files)
+
+
+def read_flow_dir(path) -> list[FlowField]:
+    """Every field of iter_flow_dir, in memory at once."""
+    return list(iter_flow_dir(path))
 
 
 def write_signal_csv(path, signal: MotionSignal, value_header: str = "value") -> None:

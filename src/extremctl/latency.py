@@ -14,6 +14,7 @@ direction; precomputed flow fields and raw signals are accepted as well.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -277,13 +278,18 @@ def block_match_flow(
     return FlowField(u=u, v=v)
 
 
-def project_region(flow: FlowField, region: RegionSpec) -> float:
-    """Mean flow vector inside the region, projected on its direction."""
-    h, w = flow.shape
+def _check_region(region: RegionSpec, shape: tuple[int, int]) -> None:
+    """OutOfBounds unless the region lies inside a (h, w) field."""
+    h, w = shape
     if region.x < 0 or region.y < 0 or region.x + region.w > w or region.y + region.h > h:
         raise OutOfBounds(
             f"region {(region.x, region.y, region.w, region.h)} outside {w}x{h} flow"
         )
+
+
+def project_region(flow: FlowField, region: RegionSpec) -> float:
+    """Mean flow vector inside the region, projected on its direction."""
+    _check_region(region, flow.shape)
     sl = (slice(region.y, region.y + region.h), slice(region.x, region.x + region.w))
     mean_u = float(np.mean(flow.u[sl]))
     mean_v = float(np.mean(flow.v[sl]))
@@ -488,17 +494,56 @@ class LatencyReport:
 
 
 def flow_signal(flows, region: RegionSpec, fps: float, t0: float = 0.0) -> MotionSignal:
-    """Project a sequence of flow fields through one region into a signal."""
+    """Project a sequence of flow fields through one region into a signal.
+
+    Fields are projected as they arrive. From a lazy source, a field is
+    released once the next one is built, so at most two are alive.
+    Releasing it before the next is built would save one field, but then
+    the allocator returns block_match_flow's temporaries to the system and
+    faults them in again on every pair: about 4x the page faults of
+    holding every field."""
     values = [project_region(f, region) for f in flows]
     return MotionSignal(np.asarray(values), fps, t0)
 
 
-def frames_to_flows(frames, block: int = 8, radius: int = 4) -> list[FlowField]:
-    """Consecutive-pair block-matching flows for a frame sequence."""
-    frames = list(frames)
-    if len(frames) < 2:
+def _frame_flows(frames, block: int, radius: int):
+    """(frame shape, lazy consecutive-pair flows) of a frame sequence.
+
+    Refused here, before any pair is matched: fewer than 2 frames, frames
+    that are not 2-d, and consecutive frames of differing shape. A source
+    with a length (a list, an array) has the shape of every frame checked;
+    an iterator has its first two checked, and block_match_flow refuses a
+    later mismatch when it meets it. The generator matches one pair per
+    flow asked of it and keeps no flow."""
+    it = iter(frames)
+    if hasattr(frames, "__len__"):
+        shapes = [np.shape(f) for f in frames]
+    else:
+        head = list(itertools.islice(it, 2))
+        shapes = [np.shape(f) for f in head]
+        it = itertools.chain(head, it)
+    if len(shapes) < 2:
         raise ValueError("need at least 2 frames")
-    return [block_match_flow(frames[k], frames[k + 1], block, radius) for k in range(len(frames) - 1)]
+    for k in range(len(shapes) - 1):
+        if shapes[k] != shapes[k + 1]:
+            raise DimensionMismatch(f"frame shapes {shapes[k]} vs {shapes[k + 1]}")
+    if len(shapes[0]) != 2:
+        raise ValueError("frames must be 2-d grayscale arrays")
+
+    def flows():
+        prev = next(it)
+        for frame in it:
+            yield block_match_flow(prev, frame, block, radius)
+            prev = frame
+
+    return shapes[0], flows()
+
+
+def frames_to_flows(frames, block: int = 8, radius: int = 4) -> list[FlowField]:
+    """Consecutive-pair block-matching flows for a frame sequence: the list
+    of the per-pair stream that analyze_pair projects as it is built, with
+    its refusals raised before any pair is matched."""
+    return list(_frame_flows(frames, block, radius)[1])
 
 
 def analyze_pair(
@@ -513,28 +558,46 @@ def analyze_pair(
 ) -> LatencyReport:
     """Full latency analysis between two observations of one motion.
 
-    Each source is a MotionSignal, a sequence of FlowField, or a sequence
-    of grayscale frames; frame/flow sources need their RegionSpec and a
-    shared fps. Reciprocating or otherwise quasi-periodic motion gives the
-    correlation a clear phase structure to lock onto.
+    Each source is a MotionSignal, a sequence or iterator of FlowField, or
+    a sequence or iterator of grayscale frames; frame/flow sources need
+    their RegionSpec and a shared fps. Reciprocating or otherwise
+    quasi-periodic motion gives the correlation a clear phase structure to
+    lock onto.
+
+    Frame and flow sources stream: each consecutive frame pair is matched
+    and projected through the region, and its flow is dropped when the
+    next one is built (see flow_signal). At most two flow fields are alive
+    at once, so memory does not grow with the number of frames beyond the
+    frames the caller holds. Both sides are checked before either is
+    matched: a missing region or fps, an empty source, a region outside
+    the first frame or flow, and the frame refusals of frames_to_flows.
     """
 
-    def to_signal(source, region: RegionSpec | None) -> tuple[MotionSignal, str]:
+    def checked(source, region: RegionSpec | None):
+        """(kind, signal or lazy flows), every refusal above raised here."""
         if isinstance(source, MotionSignal):
-            return source, "signals"
-        seq = list(source)
-        if len(seq) == 0:
-            raise ValueError("empty source")
-        if isinstance(seq[0], FlowField):
+            return "signals", source
+        items = iter(source)
+        try:
+            first = next(items)
+        except StopIteration:
+            raise ValueError("empty source") from None
+        if not hasattr(source, "__len__"):
+            source = itertools.chain([first], items)
+        if isinstance(first, FlowField):
             if region is None or fps is None:
                 raise ValueError("flow input needs region and fps")
-            return flow_signal(seq, region, fps), "flows"
+            _check_region(region, first.shape)
+            return "flows", source
         if region is None or fps is None:
             raise ValueError("frame input needs region and fps")
-        return flow_signal(frames_to_flows(seq, block, radius), region, fps), "frames"
+        shape, flows = _frame_flows(source, block, radius)
+        _check_region(region, shape)
+        return "frames", flows
 
-    sig_a, kind_a = to_signal(source_a, region_a)
-    sig_b, kind_b = to_signal(source_b, region_b)
+    (kind_a, a), (kind_b, b) = checked(source_a, region_a), checked(source_b, region_b)
+    sig_a = a if kind_a == "signals" else flow_signal(a, region_a, fps)
+    sig_b = b if kind_b == "signals" else flow_signal(b, region_b, fps)
     estimate = estimate_lag(sig_a, sig_b, max_lag_s=max_lag_s)
     return LatencyReport(
         signal_a=standardize(sig_a),

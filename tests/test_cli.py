@@ -888,6 +888,99 @@ def test_latency_checks_flags_before_matching(tmp_path, capsys, monkeypatch, fla
     assert not (tmp_path / "lag.json").exists()
 
 
+def _write_views(tmp_path, n=40, shape=(16, 16)):
+    rng = np.random.default_rng(4)
+    for view in ("a", "b"):
+        (tmp_path / view).mkdir()
+        for k in range(n):
+            fileio.write_pgm(str(tmp_path / view / f"f{k:02d}.pgm"), rng.integers(0, 256, shape))
+
+
+@pytest.mark.parametrize("bad, error, named", [
+    ("region", "OutOfBounds", "region (0, 0, 17, 16) outside 16x16 flow"),
+    ("shape", "DimensionMismatch", "frame shapes (16, 16) vs (8, 16)"),
+    ("count", "ValueError", "need at least 2 frames"),
+])
+def test_latency_checks_frames_before_matching(tmp_path, capsys, monkeypatch, bad, error, named):
+    """An out-of-frame region, frames of differing shape and fewer than 2
+    frames, all on side b, are refused before side a is matched."""
+    from extremctl import latency
+
+    calls = []
+    real = latency.block_match_flow
+    monkeypatch.setattr(latency, "block_match_flow",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    _write_views(tmp_path)
+    region_b = "0,0,16,16,1,0"
+    if bad == "region":
+        region_b = "0,0,17,16,1,0"
+    elif bad == "shape":
+        fileio.write_pgm(str(tmp_path / "b" / "f30.pgm"), np.zeros((8, 16)))
+    else:
+        for f in sorted((tmp_path / "b").iterdir())[1:]:
+            f.unlink()
+    rc = main(["latency", "--frames-a", str(tmp_path / "a"), "--frames-b", str(tmp_path / "b"),
+               "--fps", "30", "--region-a", "0,0,16,16,1,0", "--region-b", region_b,
+               "--out", str(tmp_path / "lag.json")])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err) == {"error": error, "message": named}
+    assert calls == []
+    assert not (tmp_path / "lag.json").exists()
+
+
+def test_latency_truncated_frame_exits_one_naming_file(tmp_path, capsys):
+    _write_views(tmp_path, n=4)
+    bad = tmp_path / "a" / "f02.pgm"
+    bad.write_bytes(bad.read_bytes()[:-5])
+    rc = main(["latency", "--frames-a", str(tmp_path / "a"), "--frames-b", str(tmp_path / "b"),
+               "--fps", "30", "--region-a", "0,0,16,16,1,0", "--region-b", "0,0,16,16,1,0",
+               "--out", str(tmp_path / "lag.json")])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": f"{bad}: truncated PGM pixel data"}
+    assert not (tmp_path / "lag.json").exists()
+
+
+def test_latency_flows_equal_frames(tmp_path, capsys):
+    """--flows over the fields of --frames gives the same report (integer
+    block flows are exact in the files' f4), and a bad flow file exits 1
+    naming it."""
+    from extremctl.latency import frames_to_flows
+
+    t = np.arange(60) / 30.0
+    xx = np.arange(32)[None, :]
+    rng = np.random.default_rng(2)
+    bg = rng.uniform(20.0, 50.0, (32, 32))
+    for view, delay in (("a", 0.0), ("b", 0.1)):
+        frames = [bg + np.clip(160.0 - 4.0 * (xx - 16.0 - 8.0 * np.sin(2 * np.pi * 0.8 * (tk - delay))) ** 2, 0.0, None)
+                  for tk in t]
+        (tmp_path / f"frames_{view}").mkdir()
+        (tmp_path / f"flows_{view}").mkdir()
+        for k, frame in enumerate(frames):
+            fileio.write_pgm(str(tmp_path / f"frames_{view}" / f"f{k:02d}.pgm"), frame)
+        pgm = fileio.read_frame_dir(tmp_path / f"frames_{view}")
+        for k, flow in enumerate(frames_to_flows(pgm, 8, 6)):
+            fileio.write_flow(tmp_path / f"flows_{view}" / f"g{k:02d}.xflw", flow)
+    common = ["--fps", "30", "--region-a", "0,0,32,32,1,0", "--region-b", "0,0,32,32,1,0",
+              "--radius", "6"]
+    for kind in ("frames", "flows"):
+        assert main(["latency", f"--{kind}-a", str(tmp_path / f"{kind}_a"),
+                     f"--{kind}-b", str(tmp_path / f"{kind}_b"), *common,
+                     "--out", str(tmp_path / f"{kind}.json")]) == 0
+    by_frames = json.loads((tmp_path / "frames.json").read_text())
+    by_flows = json.loads((tmp_path / "flows.json").read_text())
+    assert by_frames.pop("source") == "frames" and by_flows.pop("source") == "flows"
+    assert by_frames == by_flows
+    bad = tmp_path / "flows_b" / "g40.xflw"
+    bad.write_bytes(bad.read_bytes()[:-4])
+    assert main(["latency", "--flows-a", str(tmp_path / "flows_a"),
+                 "--flows-b", str(tmp_path / "flows_b"), *common,
+                 "--out", str(tmp_path / "bad.json")]) == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ShortRead" and diag["message"].startswith(f"{bad}: ")
+    assert not (tmp_path / "bad.json").exists()
+
+
 def test_map_refuses_non_integer_timestamp(tmp_path, capsys):
     write_mapping_inputs(tmp_path)
     profile = tmp_path / "profile.json"

@@ -9,6 +9,7 @@ import pytest
 from extremctl.errors import ExtremControlError
 from extremctl.fileio import (
     dump_json,
+    iter_flow_dir,
     load_json,
     read_flow,
     read_flow_dir,
@@ -53,6 +54,51 @@ def test_flow_rejects_bad_magic_and_truncation(tmp_path):
         read_flow(tmp_path / "tiny.xflw")
 
 
+def test_flow_refuses_empty_header_naming_file(tmp_path):
+    for w, h in ((0, 3), (3, 0), (0, 0)):
+        path = tmp_path / f"empty_{w}x{h}.xflw"
+        path.write_bytes(struct.pack("<4sIII", b"XFLW", w, h, 0))
+        with pytest.raises(ValueError, match=rf"{path.name}: empty {w}x{h} flow"):
+            read_flow(path)
+
+
+def test_flow_refuses_non_finite_entries_naming_file(tmp_path):
+    for bad in (np.nan, np.inf, -np.inf):
+        planes = np.zeros(2 * 3 * 4, dtype="<f4")
+        planes[17] = bad
+        path = tmp_path / "bad.xflw"
+        path.write_bytes(struct.pack("<4sIII", b"XFLW", 4, 3, 0) + planes.tobytes())
+        with pytest.raises(ValueError, match=r"bad\.xflw: flow contains non-finite entries"):
+            read_flow(path)
+
+
+def test_flow_header_refusals_name_file(tmp_path):
+    path = tmp_path / "magic.xflw"
+    path.write_bytes(b"NOPE" + bytes(12))
+    with pytest.raises(BadMagic, match=r"magic\.xflw"):
+        read_flow(path)
+    path = tmp_path / "short.xflw"
+    path.write_bytes(struct.pack("<4sIII", b"XFLW", 4, 3, 0) + bytes(8))
+    with pytest.raises(ShortRead, match=r"short\.xflw"):
+        read_flow(path)
+
+
+def test_pgm_truncated_pixel_data_names_file(tmp_path):
+    for image, keep in ((np.zeros((5, 7)), 34), (np.zeros((5, 7)), 0)):
+        path = tmp_path / "short.pgm"
+        write_pgm(path, image)
+        data = path.read_bytes()
+        header = len(data) - image.size
+        path.write_bytes(data[: header + keep])
+        with pytest.raises(ValueError, match=r"short\.pgm: truncated PGM pixel data"):
+            read_pgm(path)
+    path.write_bytes(b"P5\n2 2\n65535\n" + bytes(7))  # 16-bit: 8 bytes needed
+    with pytest.raises(ValueError, match=r"short\.pgm: truncated PGM pixel data"):
+        read_pgm(path)
+    path.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
+    assert read_pgm(path).tolist() == [[0, 0], [0, 0]]
+
+
 def test_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     img = rng.integers(0, 256, (24, 17)).astype(np.uint8)
@@ -92,6 +138,22 @@ def test_flow_dir_sorted(tmp_path):
         )
     flows = read_flow_dir(tmp_path)
     assert [f.u[0, 0] for f in flows] == [0.0, 1.0, 2.0]
+    (tmp_path / "empty").mkdir()
+    with pytest.raises(ValueError, match="no \\*.xflw files"):
+        read_flow_dir(tmp_path / "empty")
+
+
+def test_flow_dir_iterator_reads_one_file_per_item(tmp_path):
+    for k in range(3):
+        write_flow(tmp_path / f"{k:03d}.xflw", FlowField(u=np.full((2, 2), float(k)), v=np.zeros((2, 2))))
+    (tmp_path / "001.xflw").write_bytes(b"NOPE" + bytes(12))
+    flows = iter_flow_dir(tmp_path)  # nothing read yet: the bad file is not met
+    assert next(flows).u[0, 0] == 0.0
+    with pytest.raises(BadMagic, match=r"001\.xflw"):
+        next(flows)
+    (tmp_path / "empty").mkdir()
+    with pytest.raises(ValueError, match="no \\*.xflw files"):
+        iter_flow_dir(tmp_path / "empty")
 
 
 def test_signal_csv_round_trip(tmp_path):

@@ -608,6 +608,109 @@ def test_flow_signal_shapes():
         frames_to_flows(frames[:1])
 
 
+def _reference_report(frames_a, frames_b, region, fps, block, radius):
+    """Per-pair reference: block_match_flow on each consecutive pair, then
+    flow_signal over the list, estimate_lag and standardize."""
+    def signal(frames):
+        flows = [block_match_flow(frames[k], frames[k + 1], block, radius)
+                 for k in range(len(frames) - 1)]
+        return flow_signal(flows, region, fps), flows
+
+    (sig_a, flows_a), (sig_b, flows_b) = signal(frames_a), signal(frames_b)
+    estimate = estimate_lag(sig_a, sig_b)
+    return standardize(sig_a), standardize(sig_b), estimate, flows_a, flows_b
+
+
+def test_streamed_report_equals_per_pair_reference():
+    fps, region = 30.0, RegionSpec(0, 0, 32, 32, (1.0, 0.0))
+    frames_a = render_bar(60, fps, 0.0)
+    frames_b = render_bar(60, fps, 3.0 / fps)
+    std_a, std_b, estimate, flows_a, flows_b = _reference_report(
+        frames_a, frames_b, region, fps, 8, 6)
+    sources = {
+        "frames": (frames_a, frames_b),
+        "flows": (flows_a, flows_b),
+        "frames+flows": (frames_a, flows_b),
+    }
+    for kind, (a, b) in sources.items():
+        for wrap in (list, iter):
+            report = analyze_pair(wrap(a), wrap(b), region_a=region, region_b=region,
+                                  fps=fps, block=8, radius=6)
+            assert report.source == kind
+            assert report.estimate == estimate
+            assert np.array_equal(report.signal_a.samples, std_a.samples)
+            assert np.array_equal(report.signal_b.samples, std_b.samples)
+    streamed = frames_to_flows(iter(frames_a), 8, 6)
+    assert all(np.array_equal(f.u, g.u) and np.array_equal(f.v, g.v)
+               for f, g in zip(streamed, flows_a, strict=True))
+
+
+def test_analyze_pair_memory_does_not_grow_with_frames():
+    """The frames are built first; from then on the traced peak must not
+    grow by a single flow field between 24 and 96 frames (holding every
+    field would add 72 of them, about 3.5 MB)."""
+    import tracemalloc
+
+    fps, shape = 10.0, (48, 64)
+    region = RegionSpec(0, 0, shape[1], shape[0], (1.0, 0.0))
+    yy, xx = np.mgrid[0 : shape[0], 0 : shape[1]]
+    bg = np.random.default_rng(5).integers(20, 60, shape)
+
+    def frames(n, delay):
+        out = []
+        for k in range(n):
+            cx = shape[1] / 2 + 12 * math.sin(2 * math.pi * 0.45 * (k - delay) / fps)
+            out.append((bg + np.clip(160 - 3 * (xx - cx) ** 2, 0, None)).astype(np.uint8))
+        return out
+
+    peaks = []
+    for n in (24, 96):
+        fa, fb = frames(n, 0), frames(n, 2)
+        analyze_pair(fa, fb, region, region, fps)  # warm every code path once
+        tracemalloc.start()
+        try:
+            analyze_pair(fa, fb, region, region, fps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    field_bytes = 2 * shape[0] * shape[1] * 8
+    assert abs(peaks[1] - peaks[0]) < field_bytes, peaks
+
+
+def test_analyze_pair_refuses_before_matching(monkeypatch):
+    """Every refusal that needs no matching comes before the first pair of
+    either side is matched, with the message the matcher would give."""
+    from extremctl import latency
+
+    calls = []
+    real = latency.block_match_flow
+    monkeypatch.setattr(latency, "block_match_flow",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    fps, region = 30.0, RegionSpec(0, 0, 32, 32, (1.0, 0.0))
+    good = render_bar(40, fps, 0.0)
+    odd = good[:30] + [np.zeros((16, 32))] + good[31:]
+    outside = RegionSpec(0, 0, 33, 32, (1.0, 0.0))
+    cases = [
+        (good, good, region, outside, OutOfBounds, "region (0, 0, 33, 32) outside 32x32 flow"),
+        (good, odd, region, region, DimensionMismatch, "frame shapes (32, 32) vs (16, 32)"),
+        (good, good[:1], region, region, ValueError, "need at least 2 frames"),
+        (good, iter(good[:1]), region, region, ValueError, "need at least 2 frames"),
+        (good, iter(odd[29:]), region, region, DimensionMismatch, "frame shapes (32, 32) vs (16, 32)"),
+        (good, [np.zeros((2, 32, 32))] * 3, region, region, ValueError, "must be 2-d"),
+        (good, [], region, region, ValueError, "empty source"),
+        (good, good, region, None, ValueError, "frame input needs region and fps"),
+    ]
+    for a, b, ra, rb, error, text in cases:
+        with pytest.raises(error, match=re.escape(text)):
+            analyze_pair(a, b, region_a=ra, region_b=rb, fps=fps)
+        assert calls == [], text
+    flows = frames_to_flows(good[:3], 8, 4)
+    calls.clear()
+    with pytest.raises(OutOfBounds, match=re.escape("outside 32x32 flow")):
+        analyze_pair(good, iter(flows), region_a=region, region_b=outside, fps=fps)
+    assert calls == []
+
+
 def test_motion_signal_validation():
     with pytest.raises(ValueError):
         MotionSignal(np.array([1.0]), 10.0)
