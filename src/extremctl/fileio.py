@@ -46,11 +46,12 @@ def read_flow(path) -> FlowField:
     if len(data) < need:
         raise ShortRead(f"{path}: {len(data)} bytes, need {need} for {w}x{h} flow")
     planes = np.frombuffer(data, dtype="<f4", count=2 * w * h, offset=_FLOW_HEADER.size)
-    if not np.isfinite(planes).all():
-        raise ValueError(f"{path}: flow contains non-finite entries")
     u = planes[: w * h].reshape(h, w).astype(float)
     v = planes[w * h :].reshape(h, w).astype(float)
-    return FlowField(u=u, v=v)
+    try:
+        return FlowField(u=u, v=v)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_pgm(path, image: np.ndarray) -> None:
@@ -114,11 +115,6 @@ def iter_flow_dir(path) -> Iterator[FlowField]:
     if not files:
         raise ValueError(f"no *.xflw files in {path}")
     return map(read_flow, files)
-
-
-def read_flow_dir(path) -> list[FlowField]:
-    """Every field of iter_flow_dir, in memory at once."""
-    return list(iter_flow_dir(path))
 
 
 def write_signal_csv(path, signal: MotionSignal, value_header: str = "value") -> None:

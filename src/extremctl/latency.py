@@ -129,6 +129,20 @@ class FlowField:
         return self.u.shape
 
 
+def _check_match(shape_a: tuple, shape_b: tuple, block: int, radius: int) -> None:
+    """The refusals of block_match_flow for frames of these shapes."""
+    if shape_a != shape_b:
+        raise DimensionMismatch(f"frame shapes {shape_a} vs {shape_b}")
+    if len(shape_a) != 2:
+        raise ValueError("frames must be 2-d grayscale arrays")
+    if block < 4:
+        raise ValueError(f"block {block} must be at least 4 pixels")
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
+    if shape_a[0] < block or shape_a[1] < block:
+        raise ValueError(f"frames {shape_a} smaller than one {block}px block")
+
+
 def block_match_flow(
     frame_a: np.ndarray,
     frame_b: np.ndarray,
@@ -170,19 +184,10 @@ def block_match_flow(
     """
     a = np.asarray(frame_a)
     b = np.asarray(frame_b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"frame shapes {a.shape} vs {b.shape}")
-    if a.ndim != 2:
-        raise ValueError("frames must be 2-d grayscale arrays")
-    if block < 4:
-        raise ValueError(f"block {block} must be at least 4 pixels")
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
+    _check_match(a.shape, b.shape, block, radius)
 
     h, w = a.shape
     nby, nbx = h // block, w // block
-    if nby == 0 or nbx == 0:
-        raise ValueError(f"frames {a.shape} smaller than one {block}px block")
     h2, w2 = nby * block, nbx * block
     bb = block * block
 
@@ -509,34 +514,16 @@ def flow_signal(flows, region: RegionSpec, fps: float, t0: float = 0.0) -> Motio
 def _frame_flows(frames, block: int, radius: int):
     """(frame shape, lazy consecutive-pair flows) of a frame sequence.
 
-    Refused here, before any pair is matched: fewer than 2 frames, frames
-    that are not 2-d, and consecutive frames of differing shape. A source
-    with a length (a list, an array) has the shape of every frame checked;
-    an iterator has its first two checked, and block_match_flow refuses a
-    later mismatch when it meets it. The generator matches one pair per
+    Every refusal of block_match_flow, and fewer than 2 frames, is raised
+    here, before any pair is matched. The generator matches one pair per
     flow asked of it and keeps no flow."""
-    it = iter(frames)
-    if hasattr(frames, "__len__"):
-        shapes = [np.shape(f) for f in frames]
-    else:
-        head = list(itertools.islice(it, 2))
-        shapes = [np.shape(f) for f in head]
-        it = itertools.chain(head, it)
-    if len(shapes) < 2:
+    frames = list(frames)
+    if len(frames) < 2:
         raise ValueError("need at least 2 frames")
-    for k in range(len(shapes) - 1):
-        if shapes[k] != shapes[k + 1]:
-            raise DimensionMismatch(f"frame shapes {shapes[k]} vs {shapes[k + 1]}")
-    if len(shapes[0]) != 2:
-        raise ValueError("frames must be 2-d grayscale arrays")
-
-    def flows():
-        prev = next(it)
-        for frame in it:
-            yield block_match_flow(prev, frame, block, radius)
-            prev = frame
-
-    return shapes[0], flows()
+    for a, b in zip(frames, frames[1:]):
+        _check_match(np.shape(a), np.shape(b), block, radius)
+    flows = (block_match_flow(a, b, block, radius) for a, b in zip(frames, frames[1:]))
+    return np.shape(frames[0]), flows
 
 
 def frames_to_flows(frames, block: int = 8, radius: int = 4) -> list[FlowField]:
@@ -568,9 +555,11 @@ def analyze_pair(
     and projected through the region, and its flow is dropped when the
     next one is built (see flow_signal). At most two flow fields are alive
     at once, so memory does not grow with the number of frames beyond the
-    frames the caller holds. Both sides are checked before either is
-    matched: a missing region or fps, an empty source, a region outside
-    the first frame or flow, and the frame refusals of frames_to_flows.
+    frames themselves, which are held as read. Both sides are checked
+    before either is matched: a missing region or fps, an empty source,
+    the frame refusals of frames_to_flows (fewer than 2 frames, then every
+    refusal block_match_flow would give), and a region outside the first
+    frame or flow.
     """
 
     def checked(source, region: RegionSpec | None):
@@ -582,8 +571,7 @@ def analyze_pair(
             first = next(items)
         except StopIteration:
             raise ValueError("empty source") from None
-        if not hasattr(source, "__len__"):
-            source = itertools.chain([first], items)
+        source = itertools.chain([first], items)
         if isinstance(first, FlowField):
             if region is None or fps is None:
                 raise ValueError("flow input needs region and fps")

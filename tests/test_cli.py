@@ -900,10 +900,13 @@ def _write_views(tmp_path, n=40, shape=(16, 16)):
     ("region", "OutOfBounds", "region (0, 0, 17, 16) outside 16x16 flow"),
     ("shape", "DimensionMismatch", "frame shapes (16, 16) vs (8, 16)"),
     ("count", "ValueError", "need at least 2 frames"),
+    ("block", "ValueError", "block 2 must be at least 4 pixels"),
+    ("small", "ValueError", "frames (16, 16) smaller than one 32px block"),
 ])
 def test_latency_checks_frames_before_matching(tmp_path, capsys, monkeypatch, bad, error, named):
     """An out-of-frame region, frames of differing shape and fewer than 2
-    frames, all on side b, are refused before side a is matched."""
+    frames, all on side b, are refused before side a is matched; a bad
+    --block wins over the out-of-frame region, as when matching came first."""
     from extremctl import latency
 
     calls = []
@@ -911,9 +914,10 @@ def test_latency_checks_frames_before_matching(tmp_path, capsys, monkeypatch, ba
     monkeypatch.setattr(latency, "block_match_flow",
                         lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
     _write_views(tmp_path)
-    region_b = "0,0,16,16,1,0"
-    if bad == "region":
+    region_b, extra = "0,0,16,16,1,0", []
+    if bad in ("region", "block", "small"):
         region_b = "0,0,17,16,1,0"
+        extra = {"region": [], "block": ["--block", "2"], "small": ["--block", "32"]}[bad]
     elif bad == "shape":
         fileio.write_pgm(str(tmp_path / "b" / "f30.pgm"), np.zeros((8, 16)))
     else:
@@ -921,7 +925,7 @@ def test_latency_checks_frames_before_matching(tmp_path, capsys, monkeypatch, ba
             f.unlink()
     rc = main(["latency", "--frames-a", str(tmp_path / "a"), "--frames-b", str(tmp_path / "b"),
                "--fps", "30", "--region-a", "0,0,16,16,1,0", "--region-b", region_b,
-               "--out", str(tmp_path / "lag.json")])
+               "--out", str(tmp_path / "lag.json")] + extra)
     assert rc == 1
     assert json.loads(capsys.readouterr().err) == {"error": error, "message": named}
     assert calls == []

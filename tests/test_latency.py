@@ -695,7 +695,7 @@ def test_analyze_pair_refuses_before_matching(monkeypatch):
         (good, odd, region, region, DimensionMismatch, "frame shapes (32, 32) vs (16, 32)"),
         (good, good[:1], region, region, ValueError, "need at least 2 frames"),
         (good, iter(good[:1]), region, region, ValueError, "need at least 2 frames"),
-        (good, iter(odd[29:]), region, region, DimensionMismatch, "frame shapes (32, 32) vs (16, 32)"),
+        (good, iter(odd), region, region, DimensionMismatch, "frame shapes (32, 32) vs (16, 32)"),
         (good, [np.zeros((2, 32, 32))] * 3, region, region, ValueError, "must be 2-d"),
         (good, [], region, region, ValueError, "empty source"),
         (good, good, region, None, ValueError, "frame input needs region and fps"),
@@ -703,6 +703,13 @@ def test_analyze_pair_refuses_before_matching(monkeypatch):
     for a, b, ra, rb, error, text in cases:
         with pytest.raises(error, match=re.escape(text)):
             analyze_pair(a, b, region_a=ra, region_b=rb, fps=fps)
+        assert calls == [], text
+    for kwargs, text in (({"block": 2}, "block 2 must be at least 4 pixels"),
+                         ({"radius": -1}, "radius must be non-negative"),
+                         ({"block": 64}, "frames (32, 32) smaller than one 64px block")):
+        # the matcher's own refusals win over the region check, as when it ran first
+        with pytest.raises(ValueError, match=re.escape(text)):
+            analyze_pair(good, good, region_a=region, region_b=outside, fps=fps, **kwargs)
         assert calls == [], text
     flows = frames_to_flows(good[:3], 8, 4)
     calls.clear()
