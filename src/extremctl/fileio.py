@@ -67,11 +67,14 @@ def write_pgm(path, image: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
+    """One binary PGM (P5) frame, uint8 or uint16 by its maxval; every
+    refusal names the file."""
     data = Path(path).read_bytes()
     if data[:2] != b"P5":
         raise ValueError(f"{path}: not a binary PGM (P5) file")
-    # Header: magic, width, height, maxval as whitespace-separated tokens,
-    # '#' comments allowed through end of line.
+    # Header: magic, width, height, maxval as whitespace-separated decimal
+    # numbers, '#' comments allowed through end of line, then one
+    # whitespace byte before the pixels.
     tokens: list[int] = []
     pos = 2
     while len(tokens) < 3:
@@ -79,18 +82,27 @@ def read_pgm(path) -> np.ndarray:
             raise ValueError(f"{path}: truncated PGM header")
         c = data[pos : pos + 1]
         if c == b"#":
-            pos = data.index(b"\n", pos) + 1
+            pos = data.find(b"\n", pos) + 1
+            if pos == 0:
+                raise ValueError(f"{path}: PGM header comment has no end of line")
         elif c.isspace():
             pos += 1
         else:
             end = pos
             while end < len(data) and not data[end : end + 1].isspace():
                 end += 1
-            tokens.append(int(data[pos:end]))
+            token = data[pos:end]
+            if not token.isdigit():  # ASCII digits only: no sign, no '_'
+                raise ValueError(f"{path}: PGM header field {token!r} is not a decimal number")
+            tokens.append(int(token))
             pos = end
     w, h, maxval = tokens
+    if pos >= len(data):
+        raise ValueError(f"{path}: truncated PGM header")
     pos += 1  # single whitespace after maxval
-    if maxval <= 0 or maxval > 65535:
+    if w == 0 or h == 0:
+        raise ValueError(f"{path}: empty {w}x{h} PGM")
+    if maxval == 0 or maxval > 65535:
         raise ValueError(f"{path}: bad maxval {maxval}")
     dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
     count = w * h

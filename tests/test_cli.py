@@ -949,7 +949,7 @@ def test_latency_flows_equal_frames(tmp_path, capsys):
     """--flows over the fields of --frames gives the same report (integer
     block flows are exact in the files' f4), and a bad flow file exits 1
     naming it."""
-    from extremctl.latency import frames_to_flows
+    from extremctl.latency import block_match_flow
 
     t = np.arange(60) / 30.0
     xx = np.arange(32)[None, :]
@@ -963,7 +963,8 @@ def test_latency_flows_equal_frames(tmp_path, capsys):
         for k, frame in enumerate(frames):
             fileio.write_pgm(str(tmp_path / f"frames_{view}" / f"f{k:02d}.pgm"), frame)
         pgm = fileio.read_frame_dir(tmp_path / f"frames_{view}")
-        for k, flow in enumerate(frames_to_flows(pgm, 8, 6)):
+        for k, (a, b) in enumerate(zip(pgm, pgm[1:])):
+            flow = block_match_flow(a, b, 8, 6)
             fileio.write_flow(tmp_path / f"flows_{view}" / f"g{k:02d}.xflw", flow)
     common = ["--fps", "30", "--region-a", "0,0,32,32,1,0", "--region-b", "0,0,32,32,1,0",
               "--radius", "6"]

@@ -98,6 +98,33 @@ def test_pgm_truncated_pixel_data_names_file(tmp_path):
     assert read_pgm(path).tolist() == [[0, 0], [0, 0]]
 
 
+def test_pgm_header_refusals_name_file(tmp_path):
+    """Header fields are decimal digits only; a non-numeric or non-positive
+    size, a sign or digit separator, a comment without end of line and a
+    header ending at maxval are refused with the path first."""
+    path = tmp_path / "head.pgm"
+    cases = [
+        (b"P5\nx 2\n255\n" + bytes(4), "PGM header field b'x' is not a decimal number"),
+        (b"P5\n2 2 # no end of line", "PGM header comment has no end of line"),
+        (b"P5#", "PGM header comment has no end of line"),
+        (b"P5\n-2 -2\n255\n" + bytes(4), "PGM header field b'-2' is not a decimal number"),
+        (b"P5\n1_0 1\n255\n" + bytes(10), "PGM header field b'1_0' is not a decimal number"),
+        (b"P5\n+2 2\n255\n" + bytes(4), "PGM header field b'+2' is not a decimal number"),
+        (b"P5\n0 2\n255\n", "empty 0x2 PGM"),
+        (b"P5\n2 0\n255\n", "empty 2x0 PGM"),
+        (b"P5\n2 2\n0\n" + bytes(4), "bad maxval 0"),
+        (b"P5\n1 1\n255", "truncated PGM header"),
+        (b"P5\n1 1", "truncated PGM header"),
+    ]
+    for data, text in cases:
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as info:
+            read_pgm(path)
+        assert str(info.value) == f"{path}: {text}", data
+    path.write_bytes(b"P5 # c\n10 1 # c\n255\n" + bytes(range(10)))
+    assert read_pgm(path).tolist() == [list(range(10))]
+
+
 def test_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     img = rng.integers(0, 256, (24, 17)).astype(np.uint8)
@@ -338,7 +365,10 @@ def test_pgm_fuzz_ends_typed(tmp_path, hypothesis_settings):
     @hypothesis.given(st.one_of(pgm, st.binary(max_size=64)))
     def check(data):
         path.write_bytes(data)
-        _decodes_or_refuses_typed(read_pgm, path)
+        try:
+            read_pgm(path)
+        except ValueError as exc:  # every refusal names the file first
+            assert str(exc).startswith(f"{path}: "), exc
 
     check()
 

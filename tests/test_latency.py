@@ -22,7 +22,6 @@ from extremctl.latency import (
     block_match_flow,
     estimate_lag,
     flow_signal,
-    frames_to_flows,
     project_region,
     standardize,
 )
@@ -274,6 +273,45 @@ def test_flow_equals_exact_integer_costs_on_other_blocks(hypothesis_settings):
         assert np.array_equal(flow.u, want_u) and np.array_equal(flow.v, want_v), "offset int64"
 
     check()
+
+
+def _term_at_bound(block, span):
+    """Frames where one term max(sa + sb, pb) of the kernel reaches its
+    bound (2*block**2 - 1)*span: frame a holds one bright pixel in the
+    dark centre tile, frame b a uniformly bright tile at displacement
+    (r, r), r = block // 2. Dark frame-b tiles at (0, -r) and (-r, 0) match
+    at the same exact cost, and (0, -r) wins the tie, so the bright tile
+    wins only if that term is held wrongly."""
+    r = block // 2
+    a = np.zeros((3 * block, 3 * block), np.uint16)
+    b = np.zeros_like(a)
+    a[block + r, block + r] = span
+    b[block + r : 2 * block + r, block + r : 2 * block + r] = span
+    return a, b
+
+
+@pytest.mark.parametrize("block, span", [(8, 258), (8, 259), (16, 255)])
+def test_flow_exact_either_side_of_int16_terms(block, span):
+    """Terms are int16 up to a span of 258 at block 8 (bound 32,766) and
+    wider from 259 (32,893); block 16 on 8-bit frames (130,305) is wider
+    too. On either side the flows equal the exact integer brute force,
+    ties included: random textures, a periodic scene with displacements a
+    period apart, and one term driven to its bound."""
+    radius = block // 2
+    rng = np.random.default_rng(span)
+    yy, xx = np.mgrid[0 : 3 * block + 3, 0 : 3 * block + 5]
+    patch = rng.integers(0, span + 1, (3, 2))
+    periodic = patch[yy % 3, xx % 2], patch[(yy - 1) % 3, (xx - 1) % 2]
+    noise = rng.integers(0, span + 1, yy.shape)
+    shifted = noise, np.clip(np.roll(noise, (2, -3), axis=(0, 1)) + rng.integers(-2, 3, yy.shape), 0, span)
+    for a, b in (periodic, shifted, _term_at_bound(block, span)):
+        a, b = a.astype(np.uint16), b.astype(np.uint16)
+        a.flat[0], b.flat[-1] = 0, span  # pin the span over both frames
+        want_u, want_v = _exact_flow(a, b, block, radius, 1.0)
+        flow = block_match_flow(a, b, block, radius, 1.0)
+        assert np.array_equal(flow.u, want_u) and np.array_equal(flow.v, want_v)
+    tile = (block + radius, block + radius)
+    assert (want_v[tile], want_u[tile]) == (0.0, -radius)
 
 
 # --------------------------------------------------------------- projection
@@ -599,13 +637,13 @@ def test_analyze_pair_rendered_frames():
 
 def test_flow_signal_shapes():
     frames = render_bar(10, 30.0, 0.0)
-    flows = frames_to_flows(frames, block=8, radius=6)
-    assert len(flows) == 9
-    sig = flow_signal(flows, RegionSpec(0, 0, 32, 32, (1.0, 0.0)), 30.0)
+    flows = [block_match_flow(a, b, block=8, radius=6) for a, b in zip(frames, frames[1:])]
+    region = RegionSpec(0, 0, 32, 32, (1.0, 0.0))
+    sig = flow_signal(flows, region, 30.0)
     assert sig.samples.size == 9
     assert sig.rate_hz == 30.0
     with pytest.raises(ValueError):
-        frames_to_flows(frames[:1])
+        flow_signal(flows[:1], region, 30.0)
 
 
 def _reference_report(frames_a, frames_b, region, fps, block, radius):
@@ -640,9 +678,6 @@ def test_streamed_report_equals_per_pair_reference():
             assert report.estimate == estimate
             assert np.array_equal(report.signal_a.samples, std_a.samples)
             assert np.array_equal(report.signal_b.samples, std_b.samples)
-    streamed = frames_to_flows(iter(frames_a), 8, 6)
-    assert all(np.array_equal(f.u, g.u) and np.array_equal(f.v, g.v)
-               for f, g in zip(streamed, flows_a, strict=True))
 
 
 def test_analyze_pair_memory_does_not_grow_with_frames():
@@ -685,7 +720,7 @@ def test_analyze_pair_refuses_before_matching(monkeypatch):
     calls = []
     real = latency.block_match_flow
     monkeypatch.setattr(latency, "block_match_flow",
-                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+                        lambda a, *args, **kwargs: calls.append(a) or real(a, *args, **kwargs))
     fps, region = 30.0, RegionSpec(0, 0, 32, 32, (1.0, 0.0))
     good = render_bar(40, fps, 0.0)
     odd = good[:30] + [np.zeros((16, 32))] + good[31:]
@@ -711,11 +746,17 @@ def test_analyze_pair_refuses_before_matching(monkeypatch):
         with pytest.raises(ValueError, match=re.escape(text)):
             analyze_pair(good, good, region_a=region, region_b=outside, fps=fps, **kwargs)
         assert calls == [], text
-    flows = frames_to_flows(good[:3], 8, 4)
-    calls.clear()
+    flows = [real(a, b, 8, 4) for a, b in zip(good, good[1:3])]
     with pytest.raises(OutOfBounds, match=re.escape("outside 32x32 flow")):
         analyze_pair(good, iter(flows), region_a=region, region_b=outside, fps=fps)
     assert calls == []
+    # The empty call lists above mean something only while analyze_pair
+    # matches through this name: once per consecutive pair of each side.
+    other = render_bar(36, fps, 3.0 / fps)
+    analyze_pair(good, other, region_a=region, region_b=region, fps=fps)
+    assert len(calls) == (len(good) - 1) + (len(other) - 1)
+    assert sum(any(a is f for f in good) for a in calls) == len(good) - 1
+    assert sum(any(a is f for f in other) for a in calls) == len(other) - 1
 
 
 def test_motion_signal_validation():
