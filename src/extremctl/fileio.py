@@ -75,6 +75,8 @@ def read_pgm(path) -> np.ndarray:
     # Header: magic, width, height, maxval as whitespace-separated decimal
     # numbers, '#' comments allowed through end of line, then one
     # whitespace byte before the pixels.
+    if data[2:3] not in (b"", b"#") and not data[2:3].isspace():
+        raise ValueError(f"{path}: PGM magic P5 followed by {data[2:3]!r}, not whitespace")
     tokens: list[int] = []
     pos = 2
     while len(tokens) < 3:
@@ -139,23 +141,27 @@ def write_signal_csv(path, signal: MotionSignal, value_header: str = "value") ->
 def read_signal_csv(path) -> MotionSignal:
     """CSV with a header row and columns (time seconds, value), any names.
 
-    A malformed row raises ValueError naming the file and line."""
+    Every refusal raises ValueError naming the file; a malformed row names
+    its line too."""
     rows = []
-    with open(path, "r", newline="") as f:
-        header = f.readline()
-        if not header:
-            raise ValueError(f"{path}: empty file")
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) < 2:
-                raise ValueError(f"{path} line {lineno}: one column, need two")
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except ValueError as exc:
-                raise ValueError(f"{path} line {lineno}: {exc}") from None
+    try:
+        with open(path, "r", newline="") as f:
+            header = f.readline()
+            if not header:
+                raise ValueError(f"{path}: empty file")
+            for lineno, line in enumerate(f, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                parts = line.split(",")
+                if len(parts) < 2:
+                    raise ValueError(f"{path} line {lineno}: one column, need two")
+                try:
+                    rows.append((float(parts[0]), float(parts[1])))
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {lineno}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least 2 samples")
     t = np.asarray([r[0] for r in rows])
@@ -166,7 +172,10 @@ def read_signal_csv(path) -> MotionSignal:
     dt_med = float(np.median(dt))
     if dt_med <= 0 or np.any(np.abs(dt - dt_med) > 1e-6 * max(dt_med, 1.0) + 1e-9):
         raise ValueError(f"{path}: time column is not uniformly sampled")
-    return MotionSignal(v, 1.0 / dt_med, t0=float(t[0]))
+    try:
+        return MotionSignal(v, 1.0 / dt_med, t0=float(t[0]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 class LinkStream(NamedTuple):

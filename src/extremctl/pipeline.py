@@ -1,12 +1,12 @@
 """End-to-end teleoperation pipeline harness on a virtual clock.
 
 One simulated run wires the whole stack together: a motion generator emits
-human link frames at the capture rate, each frame travels through the
-353-byte codec and a delay/jitter/drop channel into a latest-value mailbox,
-the control loop reads the newest frame at the control rate, retargets it,
-derives a joint target (held zero-order), and the plant integrates at the
-low-level rate. Everything runs single-threaded on a virtual clock, so a
-fixed seed reproduces the record bit for bit.
+human link frames at the capture rate, each frame travels through a
+delay/jitter/drop channel into a latest-value mailbox, the control loop
+reads the newest frame at the control rate, retargets it, derives a joint
+target (held zero-order), and the plant integrates at the low-level rate.
+Everything runs single-threaded on a virtual clock, so a fixed seed
+reproduces the record bit for bit.
 
 The harness drives one decoupled joint from an extremity signal instead of
 a learned whole-body policy; that isolates transport, hold, and controller
@@ -14,10 +14,11 @@ response, the quantities the latency budget decomposes.
 
 A run has two phases. Phase 1, the transport, runs on arrays. A scalar
 loop emits every capture up to the last physics step, drawing its jitter
-and drop from the seeded generator. One wire.encode_frames packs every
-frame; one wire.decode_frames reads back the ones delivered by the last
-physics step, in (arrival, seq) order; one mapping.map_frames retargets
-them. The virtual clock then steps once per control tick: each delivery
+and drop from the seeded generator. The frames delivered by the last
+physics step are built as one (N, 6, 7) array, in (arrival, seq) order,
+and one mapping.map_frames retargets them; the channel moves these
+arrays, not bytes (wire.encode_frame and decode_frame are the relay's
+codec). The virtual clock then steps once per control tick: each delivery
 is written to the latest-value mailbox at the first tick it is due, the
 mailbox is read, and one held (q, qdot) target is recorded per tick. The
 mailbox sees the writes a clock stepped per physics step would make, in
@@ -51,7 +52,7 @@ from .mapping import (
 from .mapping import _real, _row, _wrap
 from .plant import SETTLE_S, DecoupledLinear, GainSchedule, _check_keys, equivalent_delay
 from .plant import held_joint_q, step  # noqa: F401  (perfbench's tracer wraps pipeline.step)
-from .wire import FRAME_DTYPE, LatestValueMailbox, PoseFrame, decode_frames, encode_frames
+from .wire import LatestValueMailbox, PoseFrame
 from .wire import decode_frame, encode_frame  # noqa: F401  (perfbench's tracer wraps these)
 
 
@@ -244,14 +245,15 @@ def _run_transport(
 
     Every capture up to the last physics step is emitted first, drawing
     jitter and then drop from the seeded generator in seq order. The
-    frames go through one encode_frames; the deliveries due by the last
-    physics step, sorted by (arrival, seq), through one decode_frames and
-    one map_frames. The clock then advances one control tick at a time:
-    a tick writes every delivery due by then to the mailbox and reads it.
-    A clock stepped per physics step makes the same writes in the same
-    order: a frame read at tick t arrived by t + 1e-12, and every frame
-    emitted after it is captured, and so arrives, after that. The plant
-    never feeds back into any of it.
+    poses of the deliveries due by the last physics step, sorted by
+    (arrival, seq), are built as one array and retargeted by one
+    map_frames; each frame keeps its capture's timestamp. The clock then
+    advances one control tick at a time: a tick writes every delivery due
+    by then to the mailbox and reads it. A clock stepped per physics step
+    makes the same writes in the same order: a frame read at tick t
+    arrived by t + 1e-12, and every frame emitted after it is captured,
+    and so arrives, after that. The plant never feeds back into any of
+    it.
     """
     rng = np.random.default_rng(config.seed)
     profile = config.resolve_profile()
@@ -285,16 +287,12 @@ def _run_transport(
         next_capture += capture_dt
     due.sort()
 
-    human = np.repeat(LinkSet.from_array(neutral.array).array[None], len(captures), axis=0)
-    human[:, row, axis] = base + motion.displacements(np.array(captures))
-    sent = np.frombuffer(encode_frames(range(len(captures)), stamps, human), FRAME_DTYPE)
-    del human  # each buffer is freed once used: map_frames is the run's peak
-    seqs, stamps_ns, poses = decode_frames(sent[[seq for _, seq in due]])
-    del sent
-    seqs = seqs.tolist()
+    seqs = [seq for _, seq in due]
+    poses = np.repeat(neutral.array[None], len(seqs), axis=0)
+    poses[:, row, axis] = base + motion.displacements(np.array(captures)[seqs])
     pos = map_frames(profile, poses)[:, row, axis].copy()
     targets = dict(zip(seqs, (config.target_scale * (pos - neutral_target)).tolist()))
-    frames = (PoseFrame(s, ts, _wrap(p)) for s, ts, p in zip(seqs, stamps_ns.tolist(), poses))
+    frames = (PoseFrame(s, stamps[s], _wrap(p)) for s, p in zip(seqs, poses))
 
     mailbox = LatestValueMailbox()
     written = 0

@@ -21,6 +21,28 @@ def hypothesis_settings():
     return settings
 
 
+@pytest.fixture(scope="session")
+def chain_calibration():
+    """calibrate_chain(PlanarChain(masses, lengths, physics_dt=...), config,
+    seed=seed), memoized for the session on exactly those inputs, so tests
+    that calibrate the same chain run it once. The result is shared: read
+    it, do not change it."""
+    from extremctl.impedance import calibrate_chain
+    from extremctl.plant import PlanarChain
+
+    memo = {}
+
+    def calibrated(masses, lengths, physics_dt, config, seed):
+        key = (tuple(masses), tuple(lengths), physics_dt, config, seed)
+        if key not in memo:
+            chain = PlanarChain(masses=np.array(masses, dtype=float),
+                                lengths=np.array(lengths, dtype=float), physics_dt=physics_dt)
+            memo[key] = calibrate_chain(chain, config, seed=seed)
+        return memo[key]
+
+    return calibrated
+
+
 IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
 

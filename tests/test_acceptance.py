@@ -24,7 +24,6 @@ from extremctl.pipeline import (
 )
 from extremctl.plant import (
     DecoupledLinear,
-    PlanarChain,
     max_feedforward_ratio,
     simulate_delay_curve,
     zoh_interval_overshoot,
@@ -108,12 +107,11 @@ def test_03_feedforward_upper_bound_exact():
     assert got == 0.95
 
 
-def test_04_calibration_insensitive_to_initial_gains():
-    chain = PlanarChain(masses=np.array([3.0, 0.3, 0.03, 0.003]),
-                        lengths=np.array([0.35, 0.16, 0.07, 0.032]),
-                        physics_dt=1e-3)
+def test_04_calibration_insensitive_to_initial_gains(chain_calibration):
+    masses, lengths = (3.0, 0.3, 0.03, 0.003), (0.35, 0.16, 0.07, 0.032)
     cfg = CalibrationConfig(omega_n=10.0)
-    kps = np.array([calibrate_chain(chain, cfg, seed=s).gains.kp for s in (1, 2, 3, 4, 5)])
+    kps = np.array([chain_calibration(masses, lengths, 1e-3, cfg, s).gains.kp
+                    for s in (1, 2, 3, 4, 5)])
     spread = float(((kps.max(axis=0) - kps.min(axis=0)) / kps.mean(axis=0)).max())
 
     lin = DecoupledLinear(inertia=np.array([1.0, 2.0, 3.0]), physics_dt=1e-3)

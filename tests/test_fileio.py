@@ -99,11 +99,13 @@ def test_pgm_truncated_pixel_data_names_file(tmp_path):
 
 
 def test_pgm_header_refusals_name_file(tmp_path):
-    """Header fields are decimal digits only; a non-numeric or non-positive
-    size, a sign or digit separator, a comment without end of line and a
-    header ending at maxval are refused with the path first."""
+    """Header fields are decimal digits only; a magic run into the width,
+    a non-numeric or non-positive size, a sign or digit separator, a
+    comment without end of line and a header ending at maxval are refused
+    with the path first."""
     path = tmp_path / "head.pgm"
     cases = [
+        (b"P52 2\n255\n" + bytes(4), "PGM magic P5 followed by b'2', not whitespace"),
         (b"P5\nx 2\n255\n" + bytes(4), "PGM header field b'x' is not a decimal number"),
         (b"P5\n2 2 # no end of line", "PGM header comment has no end of line"),
         (b"P5#", "PGM header comment has no end of line"),
@@ -226,12 +228,13 @@ def test_json_deterministic(tmp_path):
 
 
 def _decodes_or_refuses_typed(read, path) -> None:
-    """A decoder either returns or raises ExtremControlError / ValueError;
-    anything else (IndexError, TypeError, KeyError, ...) fails the test."""
+    """A decoder either returns or raises ExtremControlError / ValueError
+    whose message starts with the path; anything else (IndexError,
+    TypeError, KeyError, ...) fails the test."""
     try:
         read(path)
-    except (ExtremControlError, ValueError):
-        pass
+    except (ExtremControlError, ValueError) as exc:
+        assert str(exc).startswith(str(path)), exc
 
 
 def test_signal_csv_malformed_rows_name_file_and_line(tmp_path):
@@ -245,6 +248,14 @@ def test_signal_csv_malformed_rows_name_file_and_line(tmp_path):
     path.write_text("t_s,value\nnan,1.0\nnan,2.0\n")
     with pytest.raises(ValueError, match="non-finite"):
         read_signal_csv(path)
+    # Refusals past the row parser name the file too.
+    for data, text in ((b"t_s,value\n0.0,1.0\n0.1,nan\n", "signal contains non-finite samples"),
+                       (b"t_s,value\n0.0,1.0\n0.1,-inf\n", "signal contains non-finite samples"),
+                       (b"t_s,value\n0.0,1.0\n0.1,\xff\n", "")):
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as info:
+            read_signal_csv(path)
+        assert str(info.value).startswith(f"{path}: {text}"), data
 
 
 def test_linkset_jsonl_malformed_rows_name_file_and_line(tmp_path):

@@ -205,16 +205,13 @@ def test_chain_probe_evaluates_dynamics_once_per_substep(monkeypatch):
     assert calls["joint_terms"] == calls["solve"] + calls["mass_matrix"]
 
 
-def test_chain_calibration_independent_of_init():
+def test_chain_calibration_independent_of_init(chain_calibration):
     """Two unrelated random initializations on a four-link chain with
     well-separated link inertias land on the same gains."""
-    chain = PlanarChain(
-        masses=np.array([3.0, 0.3, 0.03, 0.003]),
-        lengths=np.array([0.35, 0.16, 0.07, 0.032]),
-    )
+    masses, lengths = (3.0, 0.3, 0.03, 0.003), (0.35, 0.16, 0.07, 0.032)
     cfg = CalibrationConfig(omega_n=10.0)
-    a = calibrate_chain(chain, cfg, seed=1)
-    b = calibrate_chain(chain, cfg, seed=2)
+    a = chain_calibration(masses, lengths, 1e-3, cfg, 1)
+    b = chain_calibration(masses, lengths, 1e-3, cfg, 2)
     rel = np.abs(a.gains.kp - b.gains.kp) / np.maximum(a.gains.kp, b.gains.kp)
     assert rel.max() < 0.05
 

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import random_links
-from extremctl.mapping import LINKS, LinkSet, _wrap
+from extremctl.mapping import LINKS, LinkSet
 from extremctl.wire import (
-    FRAME_DTYPE,
     FRAME_SIZE,
     BadMagic,
     BadVersion,
@@ -19,9 +18,7 @@ from extremctl.wire import (
     PoseFrame,
     ShortRead,
     decode_frame,
-    decode_frames,
     encode_frame,
-    encode_frames,
 )
 
 
@@ -240,182 +237,5 @@ def test_decode_valid_header_arbitrary_values_end_typed(hypothesis_settings):
     @hypothesis.given(st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1), values())
     def check(seq, timestamp_ns, values):
         _decode_ends_typed(struct.pack("<4sBIQ42d", b"XCTL", 1, seq, timestamp_ns, *values))
-
-    check()
-
-
-# The batch codec: encode_frames and decode_frames against the per-frame codec.
-
-
-def random_stream(rng, n):
-    """n random frames: seqs, timestamps (the last at the u64 limit) and
-    their (n, 6, 7) array."""
-    seqs = rng.integers(0, 2**32, n).tolist()
-    stamps = [int(t) for t in rng.integers(0, 2**63, n)]
-    if n:
-        stamps[-1] = 2**64 - 1
-    return seqs, stamps, np.array([random_links(rng).array for _ in range(n)]).reshape(n, 6, 7)
-
-
-def per_frame_refusal(make):
-    """The exception make() raises, or None."""
-    try:
-        make()
-    except Exception as exc:  # noqa: BLE001  compared by type and message below
-        return exc
-    return None
-
-
-def assert_same_refusal(batch, expected, row):
-    """The batch call raises expected's class, its message prefixed with the row."""
-    with pytest.raises(Exception) as info:
-        batch()
-    assert type(info.value) is type(expected)
-    assert str(info.value) == f"frame {row}: {expected}"
-
-
-def test_frame_dtype_is_the_frame_struct_layout():
-    assert FRAME_DTYPE.itemsize == FRAME_SIZE == 353
-    rng = np.random.default_rng(20)
-    frame = random_frame(rng, seq=5, timestamp_ns=2**64 - 1)
-    record = np.frombuffer(encode_frame(frame), FRAME_DTYPE)[0]
-    assert (record["magic"], record["version"], record["seq"]) == (b"XCTL", 1, 5)
-    assert int(record["timestamp_ns"]) == 2**64 - 1
-    assert np.array_equal(record["links"], frame.links.array)
-
-
-@pytest.mark.parametrize("n", [0, 1, 7])
-def test_encode_frames_equals_joined_encode_frame(n):
-    rng = np.random.default_rng(21 + n)
-    seqs, stamps, poses = random_stream(rng, n)
-    expected = b"".join(
-        encode_frame(PoseFrame(s, t, LinkSet.from_array(p))) for s, t, p in zip(seqs, stamps, poses)
-    )
-    assert encode_frames(seqs, stamps, poses) == expected
-
-
-def test_decode_frames_equals_decode_frame_per_row():
-    rng = np.random.default_rng(22)
-    seqs, stamps, poses = random_stream(rng, 9)
-    values = poses.reshape(9, 42).copy()
-    # Quaternions the decoder accepts but canonicalizes: off unit by up to
-    # the tolerance, or with w < 0.
-    values[:, 3::7] *= -1.0
-    values[:, 10::7] *= 1.0 + rng.uniform(-9e-7, 9e-7, (9, 5))
-    buf = b"".join(
-        struct.pack("<4sBIQ42d", b"XCTL", 1, s, t, *v) for s, t, v in zip(seqs, stamps, values)
-    )
-    got_seqs, got_stamps, got_poses = decode_frames(buf)
-    assert got_poses.shape == (9, 6, 7)
-    for k in range(9):
-        frame = decode_frame(buf[k * FRAME_SIZE : (k + 1) * FRAME_SIZE])
-        assert (int(got_seqs[k]), int(got_stamps[k])) == (frame.seq, frame.timestamp_ns)
-        assert got_poses[k].tobytes() == frame.links.array.tobytes()
-    # A selection of the records decodes as its rows do.
-    records = np.frombuffer(buf, FRAME_DTYPE)[[4, 1]]
-    picked = decode_frames(records)
-    assert picked[0].tolist() == [seqs[4], seqs[1]]
-    assert picked[2].tobytes() == got_poses[[4, 1]].tobytes()
-    empty = decode_frames(b"")
-    assert [a.shape for a in empty] == [(0,), (0,), (0, 6, 7)]
-
-
-def _corrupt(buf: bytearray, offset: int, fmt: str, value) -> None:
-    struct.pack_into(fmt, buf, offset, value)
-
-
-@pytest.mark.parametrize("offset, fmt, value", [
-    (0, "<4s", b"YCTL"),  # magic
-    (4, "<B", 9),  # version
-    (17 + 24, "<d", 0.5),  # pelvis quaternion w: norm off unit
-    (17 + 56 + 24 + 8, "<d", math.nan),  # torso quaternion x
-    (17 + 2 * 56 + 24, "<d", math.inf),  # left hand quaternion w
-    (17 + 5 * 56 + 8, "<d", math.nan),  # right foot translation y
-])
-def test_decode_frames_refuses_as_decode_frame_naming_the_row(offset, fmt, value):
-    rng = np.random.default_rng(23)
-    buf = bytearray(encode_frames(*random_stream(rng, 4)))
-    _corrupt(buf, 2 * FRAME_SIZE + offset, fmt, value)
-    expected = per_frame_refusal(lambda: decode_frame(bytes(buf[2 * FRAME_SIZE :])))
-    assert expected is not None
-    assert_same_refusal(lambda: decode_frames(bytes(buf)), expected, 2)
-
-
-def test_decode_frames_refuses_a_trailing_part_frame_as_short_read():
-    rng = np.random.default_rng(24)
-    buf = encode_frames(*random_stream(rng, 3)) + b"XCTL" + bytes(96)
-    expected = per_frame_refusal(lambda: decode_frame(buf[3 * FRAME_SIZE :]))
-    assert isinstance(expected, ShortRead)
-    assert_same_refusal(lambda: decode_frames(buf), expected, 3)
-
-
-def test_decode_frames_reports_the_first_refused_frame_and_its_first_check():
-    rng = np.random.default_rng(25)
-    buf = bytearray(encode_frames(*random_stream(rng, 4)))
-    # frame 1: a non-finite translation before (in link order) a bad norm;
-    # decode_frame checks every norm first. Frame 2 and the tail come later.
-    _corrupt(buf, FRAME_SIZE + 17, "<d", math.inf)
-    _corrupt(buf, FRAME_SIZE + 17 + 4 * 56 + 24, "<d", 3.0)
-    _corrupt(buf, 2 * FRAME_SIZE, "<4s", b"NOPE")
-    buf += b"tail"
-    expected = per_frame_refusal(lambda: decode_frame(bytes(buf[FRAME_SIZE:])))
-    assert isinstance(expected, NonUnitQuaternion) and "left_foot" in str(expected)
-    assert_same_refusal(lambda: decode_frames(bytes(buf)), expected, 1)
-
-
-def test_encode_frames_refuses_as_encode_frame_naming_the_row():
-    rng = np.random.default_rng(26)
-    for row, col, value in ((1, 4, np.nan), (2, 3, 0.5), (3, 0, np.inf), (0, 2, -np.inf)):
-        seqs, stamps, poses = random_stream(rng, 4)
-        poses[row, 1 if col > 2 else 4, col] = value
-        unchecked = _wrap(poses[row].copy())
-        expected = per_frame_refusal(
-            lambda: encode_frame(PoseFrame(seqs[row], stamps[row], unchecked))
-        )
-        assert isinstance(expected, NonUnitQuaternion if col > 2 else ValueError)
-        assert_same_refusal(lambda: encode_frames(seqs, stamps, poses), expected, row)
-
-
-@pytest.mark.parametrize("seq, timestamp_ns", [(2**32, 0), (-1, 0), (0, 2**64), (0, -1)])
-def test_encode_frames_refuses_out_of_range_header_as_pose_frame(seq, timestamp_ns):
-    rng = np.random.default_rng(27)
-    seqs, stamps, poses = random_stream(rng, 3)
-    seqs[1], stamps[1] = seq, timestamp_ns
-    expected = per_frame_refusal(lambda: PoseFrame(seq, timestamp_ns, LinkSet.from_array(poses[1])))
-    assert type(expected) is ValueError
-    assert_same_refusal(lambda: encode_frames(seqs, stamps, poses), expected, 1)
-
-
-def test_batch_decode_matches_per_frame_decode_on_arbitrary_buffers(hypothesis_settings):
-    """Any buffer: decode_frames returns what decode_frame returns frame by
-    frame, or raises what the first refused frame raises, naming its row."""
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-
-    @hypothesis_settings(200)
-    @hypothesis.given(
-        st.integers(0, 3),
-        st.lists(st.tuples(st.integers(0, 3 * FRAME_SIZE - 1), st.integers(0, 255)), max_size=4),
-        st.one_of(st.just(0), st.integers(1, 2 * FRAME_SIZE)),
-        st.integers(0, 2**16),
-    )
-    def check(n, flips, tail, seed):
-        buf = bytearray(encode_frames(*random_stream(np.random.default_rng(seed), n)))
-        for at, byte in flips:
-            if at < len(buf):
-                buf[at] = byte
-        buf = bytes(buf) + bytes(tail)
-        frames, expected = [], None
-        for row in range(-(-len(buf) // FRAME_SIZE)):
-            expected = per_frame_refusal(
-                lambda: frames.append(decode_frame(buf[row * FRAME_SIZE : (row + 1) * FRAME_SIZE]))
-            )
-            if expected is not None:
-                assert_same_refusal(lambda: decode_frames(buf), expected, row)
-                return
-        seqs, stamps, poses = decode_frames(buf)
-        assert seqs.tolist() == [f.seq for f in frames]
-        assert stamps.tolist() == [f.timestamp_ns for f in frames]
-        assert poses.tobytes() == b"".join(f.links.array.tobytes() for f in frames)
 
     check()
