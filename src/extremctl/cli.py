@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -30,7 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ExtremControlError
+from .errors import ExtremControlError, finite, finite_positive, json_object, number
 from . import fileio
 from .impedance import CalibrationConfig, calibrate_chain
 from .latency import MotionSignal, RegionSpec, analyze_pair
@@ -52,7 +51,6 @@ from .pipeline import (
 )
 from .plant import (
     GainSchedule,
-    _check_keys,
     make_sinusoid,
     plant_from_dict,
     run_episode,
@@ -75,13 +73,7 @@ def _write_meta(out_path: str, command: str, resolved: dict) -> None:
 
 def _load_object(path) -> dict:
     """A JSON file whose top level must be an object; refused naming the file."""
-    d = fileio.load_json(path)
-    if not isinstance(d, dict):
-        raise ValueError(f"{path}: top level must be a JSON object, got {type(d).__name__}")
-    return d
-
-
-_KINDS = {int: "an integer", float: "a number", str: "a string"}
+    return json_object(fileio.load_json(path), f"{path}: top level")
 
 
 class _Merged:
@@ -96,7 +88,7 @@ class _Merged:
         keys = flags | {name.replace("_", "-") for name in flags}
         if args.command == "pipeline":
             keys |= set(PipelineConfig.__dataclass_fields__)
-        _check_keys(self.config, keys, str(args.config))
+        json_object(self.config, str(args.config), keys)
 
     def get(self, name: str, default=None, kind: type = str):
         """The flag's value, else the --config value, else default. A
@@ -110,60 +102,83 @@ class _Merged:
         value = self.config.get(key)
         if value is None:
             return default
-        if type(value) is kind or (kind is float and type(value) is int):
-            try:
-                return kind(value)
-            except OverflowError:
-                pass
-        raise ValueError(f"{self.args.config}: {key} {value!r} must be {_KINDS[kind]}")
+        where = f"{self.args.config}: {key} {value!r}"
+        if kind is float:
+            return number(value, where)
+        if type(value) is not kind:
+            raise ValueError(f"{where} must be {'an integer' if kind is int else 'a string'}")
+        return value
+
+    def required(self, name: str) -> str:
+        """get(name), refused naming the flag when no flag or key gives it."""
+        value = self.get(name)
+        if value is None:
+            raise ValueError(f"--{name} is required")
+        return value
 
     def seed(self) -> int:
         value = self.get("seed", kind=int)
-        if value is None:
-            value = os.environ.get("EXTREMCTL_SEED")
-        return int(value) if value is not None else 0
+        text = os.environ.get("EXTREMCTL_SEED", "0")
+        if value is None and not text.strip().isdecimal():
+            raise ValueError(f"EXTREMCTL_SEED {text!r} must be a non-negative integer")
+        return int(text) if value is None else value
 
 
-def _parse_etas(text: str) -> list[float]:
+def _reals(text: str, where: str, sep: str = ",") -> list[float]:
+    """The finite numbers written in a text, `sep` between them; blank
+    items are skipped. Anything else is refused naming `where`."""
+    values = []
+    for part in filter(str.strip, text.split(sep)):
+        try:
+            values.append(float(part))
+        except ValueError:
+            values.append(part)  # finite refuses it as not a number
+    return [finite(v, where) for v in values]
+
+
+def _parse_etas(text: str, flag: str = "--etas") -> list[float]:
+    """A comma list of etas or an inclusive start:stop:step range."""
+    etas = _reals(text, flag, ":" if ":" in text else ",")
     if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"eta range must be start:stop:step, got {text!r}")
-        start, stop, step_sz = (float(p) for p in parts)
+        if len(etas) != 3 or text.count(":") != 2:
+            raise ValueError(f"{flag}: eta range must be start:stop:step, got {text!r}")
+        start, stop, step_sz = etas
         if step_sz <= 0:
-            raise ValueError("eta step must be positive")
-        return [float(e) for e in np.arange(start, stop + step_sz / 2, step_sz)]
-    return [float(p) for p in text.split(",") if p.strip()]
+            raise ValueError(f"{flag}: eta step must be positive")
+        etas = [float(e) for e in np.arange(start, stop + step_sz / 2, step_sz)]
+    if not etas:
+        raise ValueError(f"{flag} {text!r} holds no eta")
+    return etas
 
 
 def _parse_reference(text: str):
     kind, _, rest = text.partition(":")
+    n = {"sin": 2, "const": 1, "ramp": 1}.get(kind)
+    values = _reals(rest, f"--ref {kind}") if n else []
+    if len(values) != n:
+        raise ValueError(f"--ref {text!r} is not sin:A,omega, const:x or ramp:v")
     if kind == "sin":
-        amp, omega = (float(p) for p in rest.split(","))
-        return make_sinusoid(amp, omega)
+        return make_sinusoid(*values)
     if kind == "const":
-        value = float(rest)
-        return lambda t: (value, 0.0)
-    if kind == "ramp":
-        rate = float(rest)
-        return lambda t: (rate * t, rate)
-    raise ValueError(f"unknown reference {text!r}; use sin:A,omega | const:x | ramp:v")
+        return lambda t: (values[0], 0.0)
+    return lambda t: (values[0] * t, values[0])
 
 
 def _cmd_calibrate_map(args: argparse.Namespace) -> int:
     m = _Merged(args)
-    neutral = LinkSet.from_dict(_load_object(m.get("neutral")))
-    robot = RobotModel.from_dict(_load_object(m.get("robot")))
+    neutral_path, robot_path = m.required("neutral"), m.required("robot")
+    neutral = LinkSet.from_dict(_load_object(neutral_path))
+    robot = RobotModel.from_dict(_load_object(robot_path))
     profile = calibrate(neutral, robot)
     fileio.dump_json(args.out, profile.to_dict())
-    _write_meta(args.out, "calibrate-map", {"neutral": m.get("neutral"), "robot": m.get("robot")})
+    _write_meta(args.out, "calibrate-map", {"neutral": neutral_path, "robot": robot_path})
     return 0
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
     m = _Merged(args)
-    profile = CalibrationProfile.from_dict(_load_object(m.get("profile")))
-    path = m.get("frames")
+    profile_path, path = m.required("profile"), m.required("frames")
+    profile = CalibrationProfile.from_dict(_load_object(profile_path))
     stream = fileio.read_linkset_jsonl(path)
     # The whole stream maps before --out opens: a refused frame leaves no file.
     try:
@@ -171,13 +186,14 @@ def _cmd_map(args: argparse.Namespace) -> int:
     except FrameRefused as exc:
         raise ValueError(f"{path} line {stream.lines[exc.index]}: {exc}") from None
     fileio.write_linkset_jsonl(args.out, stream.stamps, mapped)
-    _write_meta(args.out, "map", {"profile": m.get("profile"), "frames": path})
+    _write_meta(args.out, "map", {"profile": profile_path, "frames": path})
     return 0
 
 
 def _cmd_calibrate_gains(args: argparse.Namespace) -> int:
     m = _Merged(args)
-    plant = plant_from_dict(_load_object(m.get("plant")))
+    plant_path = m.required("plant")
+    plant = plant_from_dict(_load_object(plant_path))
     config = CalibrationConfig(
         omega_n=m.get("omega-n", 10.0, float),
         zeta=m.get("zeta", 1.0, float),
@@ -190,7 +206,7 @@ def _cmd_calibrate_gains(args: argparse.Namespace) -> int:
     seed = m.seed()
     result = calibrate_chain(plant, config, seed=seed)
     fileio.dump_json(args.out, result.to_dict())
-    _write_meta(args.out, "calibrate-gains", {"plant": m.get("plant"), "seed": seed})
+    _write_meta(args.out, "calibrate-gains", {"plant": plant_path, "seed": seed})
     return 0
 
 
@@ -204,9 +220,10 @@ def _load_gains(path) -> GainSchedule:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     m = _Merged(args)
-    plant = plant_from_dict(_load_object(m.get("plant")))
-    gains = _load_gains(m.get("gains"))
+    plant_path, gains_path = m.required("plant"), m.required("gains")
     reference = _parse_reference(m.get("ref", "sin:0.3,3.14"))
+    plant = plant_from_dict(_load_object(plant_path))
+    gains = _load_gains(gains_path)
     record = run_episode(
         plant,
         gains,
@@ -225,7 +242,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             for j in range(n):
                 row += [_fmt(record.q_target_held[k, j]), _fmt(record.q[k, j])]
             f.write(",".join(row) + "\n")
-    _write_meta(args.out, "simulate", {"plant": m.get("plant"), "gains": m.get("gains")})
+    _write_meta(args.out, "simulate", {"plant": plant_path, "gains": gains_path})
     return 0
 
 
@@ -254,17 +271,13 @@ def _cmd_delay_curve(args: argparse.Namespace) -> int:
 def _cmd_latency(args: argparse.Namespace) -> int:
     m = _Merged(args)
     fps = m.get("fps", None, float)
-    if fps is not None and not (math.isfinite(fps) and fps > 0):
-        raise ValueError(f"--fps: rate {fps} Hz must be finite and positive")
-    max_lag = m.get("max-lag", 1.0, float)
-    if not (math.isfinite(max_lag) and max_lag > 0):
-        raise ValueError(f"--max-lag: max_lag_s {max_lag} must be finite and positive")
+    if fps is not None:
+        finite_positive(fps, "--fps: rate", unit="Hz")
+    max_lag = finite_positive(m.get("max-lag", 1.0, float), "--max-lag: max_lag_s")
     block, radius = m.get("block", 8, int), m.get("radius", 4, int)
 
     def region(which: str) -> RegionSpec:
-        text = m.get(f"region-{which}")
-        if text is None:
-            raise ValueError(f"--region-{which} is required with frame or flow input")
+        text = m.required(f"region-{which}")
         try:
             return RegionSpec.parse(text)
         except ValueError as exc:
@@ -315,7 +328,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     sweep = m.get("eta-sweep")
     out: dict = {"config": config.to_dict()}
     if sweep is not None:
-        etas = _parse_etas(sweep)
+        etas = _parse_etas(sweep, "--eta-sweep")
         budgets = [latency_budget(r) for r in run_pipeline_sweep(config, etas)]
         out["budgets"] = [b.to_dict() for b in budgets]
         if len(budgets) >= 3:

@@ -16,6 +16,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from .errors import json_object
 from .latency import FlowField, MotionSignal
 from .mapping import LINKS, FrameRefused, links_row, validated_frames
 from .wire import BadMagic, ShortRead
@@ -228,8 +229,7 @@ def read_linkset_jsonl(path) -> LinkStream:
                 row = json.loads(line)
             except (ValueError, RecursionError) as exc:
                 raise ValueError(f"{where}: {exc}") from None
-            if not isinstance(row, dict):
-                raise ValueError(f"{where}: a JSON {type(row).__name__}, not an object")
+            json_object(row, where)
             try:
                 stamp = row["timestamp_ns"]
                 if type(stamp) is not int:  # bool is an int subclass; 1.9 must not truncate

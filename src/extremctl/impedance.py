@@ -18,20 +18,12 @@ update. Sweeps repeat until the gains stop moving.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ExtremControlError
-from .plant import (
-    GainSchedule,
-    PlantModel,
-    PlanarChain,
-    NumericalBlowup,
-    QDOT_BLOWUP,
-    _check_finite_positive,
-)
+from .errors import ExtremControlError, finite, finite_positive
+from .plant import GainSchedule, PlantModel, PlanarChain, NumericalBlowup, QDOT_BLOWUP
 
 TWO_PI = 2.0 * np.pi
 
@@ -62,14 +54,10 @@ class CalibrationConfig:
     convergence_tol: float = 0.02  # max fractional kp change per sweep
 
     def __post_init__(self) -> None:
-        _check_finite_positive(
-            omega_n=self.omega_n,
-            perturbation=self.perturbation,
-            measure_window=self.measure_window,
-            convergence_tol=self.convergence_tol,
-        )
-        if not (0.0 <= self.zeta < math.inf):  # NaN fails it too
-            raise ValueError(f"zeta {self.zeta} must be finite and non-negative")
+        for name in ("omega_n", "perturbation", "measure_window", "convergence_tol"):
+            finite_positive(getattr(self, name), name)
+        if finite(self.zeta, "zeta") < 0:
+            raise ValueError(f"zeta {self.zeta} must be non-negative")
         if self.n_envs < 2:
             raise ValueError(f"n_envs {self.n_envs} must be at least 2")
         if self.sweeps < 1:
@@ -122,9 +110,7 @@ class ChainCalibration:
 
 def estimate_meff(kp_sample, period):
     """Invert the oscillator identity: M_eff = kp P^2 / (2 pi)^2."""
-    period = np.asarray(period, dtype=float)
-    if np.any(period <= 0):
-        raise ValueError("period must be positive")
+    period = finite_positive(np.asarray(period, dtype=float), "period")
     return np.asarray(kp_sample, dtype=float) * period**2 / TWO_PI**2
 
 
@@ -332,8 +318,7 @@ def calibrate_chain(
             kd=rng.uniform(0.5, 1.5, n) * 2.0 * config.zeta * m_local * config.omega_n,
             eta=np.zeros(n),
         )
-    if np.any(initial_gains.kp <= 0):
-        raise ValueError("initial kp must be positive")
+    finite_positive(initial_gains.kp, "initial kp")
 
     kp = initial_gains.kp.copy()
     kd = initial_gains.kd.copy()

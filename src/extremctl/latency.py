@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExtremControlError
+from .errors import ExtremControlError, finite, finite_positive
 
 
 class DimensionMismatch(ExtremControlError):
@@ -54,10 +54,8 @@ class MotionSignal:
             raise ValueError("signal needs at least 2 samples in one dimension")
         if not np.all(np.isfinite(samples)):
             raise ValueError("signal contains non-finite samples")
-        if not (math.isfinite(self.rate_hz) and self.rate_hz > 0):
-            raise ValueError(f"rate {self.rate_hz} Hz must be finite and positive")
-        if not math.isfinite(self.t0):
-            raise ValueError(f"start time {self.t0} s must be finite")
+        finite_positive(self.rate_hz, "rate", unit="Hz")
+        finite(self.t0, "start time", unit="s")
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
 
@@ -492,8 +490,7 @@ def estimate_lag(
     if float(np.std(sa)) <= 1e-12 or float(np.std(sb)) <= 1e-12:
         raise ConstantSignal("cannot align a constant signal")
 
-    if not (math.isfinite(max_lag_s) and max_lag_s > 0):
-        raise ValueError(f"max_lag_s {max_lag_s} must be finite and positive")
+    finite_positive(max_lag_s, "max_lag_s")
     lags = max_lag_s * rate
     if not lags < MAX_LAG_SHIFTS:
         raise ValueError(

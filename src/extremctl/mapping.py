@@ -38,13 +38,12 @@ links_row reads the six of a frame.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ExtremControlError
+from .errors import ExtremControlError, entry, finite, finite_positive, json_object, number, numbers
 from .se3 import (
     ZeroVector,
     align_axis,
@@ -60,7 +59,6 @@ from .se3 import (
 
 LINKS = ("pelvis", "torso", "left_hand", "right_hand", "left_foot", "right_foot")
 SIDES = ("left", "right")
-_ROW = {name: i for i, name in enumerate(LINKS)}
 
 MIN_PELVIS_HEIGHT_M = 0.3
 MIN_ARM_LENGTH_M = 0.1
@@ -83,44 +81,13 @@ class FrameRefused(ValueError):
         self.index = index
 
 
-_JSON_NUMBER = frozenset((int, float))  # bool, str and None are refused
 _FLOAT = frozenset((float,))
-
-
-def _numbers(value, n: int, where: str) -> list:
-    """A JSON list of n numbers as n floats; anything else raises
-    ValueError naming `where`."""
-    if type(value) is list and len(value) == n and set(map(type, value)) <= _JSON_NUMBER:
-        try:
-            return list(map(float, value))
-        except OverflowError:
-            pass
-    raise ValueError(f"{where} must be a list of {n} numbers")
-
-
-def _number(value, where: str) -> float:
-    """A JSON number as a float; anything else raises ValueError naming `where`."""
-    if type(value) in _JSON_NUMBER:
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise ValueError(f"{where} must be a number")
-
-
-def _entry(d, key: str, where: str):
-    """d[key], where `d` is the JSON object read as `where`."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{where} must be a JSON object, not {type(d).__name__}")
-    if key not in d:
-        raise ValueError(f"{where} has no {key!r}")
-    return d[key]
 
 
 def _sides(d, key: str, where: str) -> dict:
     """d[key]["left"] and d[key]["right"]."""
-    per_side = _entry(d, key, where)
-    return {side: _entry(per_side, side, key) for side in SIDES}
+    per_side = entry(d, key, where)
+    return {side: entry(per_side, side, key) for side in SIDES}
 
 
 def pose_row(d, link: str) -> list:
@@ -128,9 +95,8 @@ def pose_row(d, link: str) -> list:
     {"p": 3 numbers, "q": 4 numbers}; anything else raises ValueError
     naming `link`. Values are checked by the caller (se3.qunit, finite
     translations)."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{link} must be an object with p and q, not {type(d).__name__}")
-    return _numbers(d.get("p"), 3, f"{link} p") + _numbers(d.get("q"), 4, f"{link} q")
+    json_object(d, link)
+    return numbers(d.get("p"), f"{link} p", 3) + numbers(d.get("q"), f"{link} q", 4)
 
 
 def links_row(d) -> list:
@@ -151,7 +117,7 @@ def links_row(d) -> list:
                 return row
     except (TypeError, KeyError):
         pass
-    return [v for name in LINKS for v in pose_row(_entry(d, name, "links"), name)]
+    return [v for name in LINKS for v in pose_row(entry(d, name, "links"), name)]
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -177,13 +143,6 @@ class LinkSet:
     @staticmethod
     def from_dict(d: dict) -> "LinkSet":
         return _validated(links_row(d))
-
-
-def _row(link: str) -> int:
-    try:
-        return _ROW[link]
-    except KeyError:
-        raise ValueError(f"unknown link {link!r}") from None
 
 
 def _wrap(a: np.ndarray) -> LinkSet:
@@ -224,19 +183,15 @@ def validated_frames(array) -> np.ndarray:
     except ZeroVector as exc:
         refused, zero = exc.index // len(LINKS), exc
     # from_array checks the quaternions of a frame before its translations
-    finite = np.isfinite(a[:refused, :, :3]).all(axis=2).ravel()
-    if not finite.all():
-        frame, link = divmod(int(np.argmin(finite)), len(LINKS))
+    ok = np.isfinite(a[:refused, :, :3]).all(axis=2).ravel()
+    if not ok.all():
+        frame, link = divmod(int(np.argmin(ok)), len(LINKS))
         raise FrameRefused(frame, f"ValueError: non-finite {LINKS[link]} translation")
     if refused < n:
         raise FrameRefused(refused, f"ZeroVector: {zero}")
     for k, column in enumerate(canonical, start=3):
         a[:, :, k] = column
     return a
-
-
-def _real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -252,25 +207,21 @@ class RobotModel:
     def __post_init__(self) -> None:
         """Refuses a value that is not a finite number, naming its field;
         stores the vectors as tuples and the lengths as floats."""
-        vectors = {"pelvis_to_torso": self.pelvis_to_torso}
-        for side in SIDES:
-            vectors[f"shoulder_offset {side}"] = self.shoulder_offset[side]
-            vectors[f"neutral_foot {side}"] = self.neutral_foot[side]
-        for name, v in vectors.items():
-            if not (isinstance(v, (list, tuple, np.ndarray)) and len(v) == 3
-                    and all(map(_real, v))):
+        def vector(v, name: str) -> tuple:
+            if not (isinstance(v, (list, tuple, np.ndarray)) and len(v) == 3):
                 raise ValueError(f"{name} {v!r} must be 3 finite numbers")
-        lengths = {"pelvis_height": self.pelvis_height}
-        lengths.update({f"{side} arm_length": self.arm_length[side] for side in SIDES})
-        for name, v in lengths.items():
-            if not (_real(v) and v > 0):
-                raise ValueError(f"{name} {v!r} must be a positive finite number")
+            return tuple(finite(c, name) for c in v)
+
+        def per_side(name: str, check) -> dict:
+            return {s: check(getattr(self, name)[s], f"{name} {s}") for s in SIDES}
+
         set_ = object.__setattr__
-        set_(self, "pelvis_height", float(self.pelvis_height))
-        set_(self, "pelvis_to_torso", tuple(self.pelvis_to_torso))
-        set_(self, "shoulder_offset", {s: tuple(self.shoulder_offset[s]) for s in SIDES})
-        set_(self, "arm_length", {s: float(self.arm_length[s]) for s in SIDES})
-        set_(self, "neutral_foot", {s: tuple(self.neutral_foot[s]) for s in SIDES})
+        set_(self, "pelvis_to_torso", vector(self.pelvis_to_torso, "pelvis_to_torso"))
+        set_(self, "shoulder_offset", per_side("shoulder_offset", vector))
+        set_(self, "neutral_foot", per_side("neutral_foot", vector))
+        set_(self, "pelvis_height", float(finite_positive(self.pelvis_height, "pelvis_height")))
+        set_(self, "arm_length", {s: float(finite_positive(self.arm_length[s], f"{s} arm_length"))
+                                  for s in SIDES})
 
     def neutral_links(self) -> LinkSet:
         """The robot's neutral stance (identity orientations)."""
@@ -294,8 +245,8 @@ class RobotModel:
     @staticmethod
     def from_dict(d: dict) -> "RobotModel":
         return RobotModel(
-            pelvis_height=_entry(d, "pelvis_height_m", "robot"),
-            pelvis_to_torso=_entry(d, "pelvis_to_torso_m", "robot"),
+            pelvis_height=entry(d, "pelvis_height_m", "robot"),
+            pelvis_to_torso=entry(d, "pelvis_to_torso_m", "robot"),
             shoulder_offset=_sides(d, "shoulder_offset_m", "robot"),
             arm_length=_sides(d, "arm_length_m", "robot"),
             neutral_foot=_sides(d, "neutral_foot_m", "robot"),
@@ -368,13 +319,7 @@ class CalibrationProfile:
             return {s: read(v, f"{key} {s}") for s, v in _sides(d, key, "profile").items()}
 
         def vector(value, where: str) -> np.ndarray:
-            return np.array(_numbers(value, 3, where))
-
-        def length(value, where: str) -> float:
-            v = _number(value, where)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{where} {v!r} must be a positive finite number")
-            return v
+            return finite(np.array(numbers(value, where, 3)), where)
 
         def unit(q: list, where: str) -> tuple:
             try:
@@ -384,17 +329,19 @@ class CalibrationProfile:
 
         def quaternion(link: str) -> tuple:
             where = f"rot_offset {link}"
-            return unit(_numbers(_entry(rot_offset, link, "rot_offset"), 4, where), where)
+            return unit(numbers(entry(rot_offset, link, "rot_offset"), where, 4), where)
 
-        anchor = pose_row(_entry(d, "anchor", "profile"), "anchor")
+        anchor = pose_row(entry(d, "anchor", "profile"), "anchor")
         if not all(map(math.isfinite, anchor[:3])):
             raise ValueError("non-finite anchor translation")
-        rot_offset = _entry(d, "rot_offset", "profile")
+        rot_offset = entry(d, "rot_offset", "profile")
         return CalibrationProfile(
-            robot=RobotModel.from_dict(_entry(d, "robot", "profile")),
+            robot=RobotModel.from_dict(entry(d, "robot", "profile")),
             anchor=(unit(anchor[3:], "anchor q"), tuple(anchor[:3])),
-            pelvis_height=length(_entry(d, "pelvis_height_m", "profile"), "pelvis_height_m"),
-            arm_length=per_side("arm_length_m", length),
+            pelvis_height=finite_positive(
+                number(entry(d, "pelvis_height_m", "profile"), "pelvis_height_m"), "pelvis_height_m"
+            ),
+            arm_length=per_side("arm_length_m", lambda v, w: finite_positive(number(v, w), w)),
             shoulder=per_side("shoulder_m", vector),
             rot_offset={link: quaternion(link) for link in LINKS},
             foot_offset=per_side("foot_offset_m", vector),
@@ -523,9 +470,9 @@ def map_frames(profile: CalibrationProfile, poses: np.ndarray) -> np.ndarray:
     columns = list(a.reshape(len(a), len(LINKS) * 7).T)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
         out = np.stack(_retarget_body(profile._retarget, columns, qunit_columns), axis=1)
-    finite = np.isfinite(out).all(axis=1)
-    if not finite.all():
-        raise FrameRefused(int(np.argmin(finite)), "non-finite mapped translation")
+    ok = np.isfinite(out).all(axis=1)
+    if not ok.all():
+        raise FrameRefused(int(np.argmin(ok)), "non-finite mapped translation")
     return out.reshape(a.shape)
 
 

@@ -38,7 +38,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ExtremControlError
+from .errors import ExtremControlError, finite, finite_positive, json_object
 from .latency import MotionSignal, estimate_lag
 from .mapping import (
     LINKS,
@@ -49,8 +49,8 @@ from .mapping import (
     map_frame,
     map_frames,
 )
-from .mapping import _real, _row, _wrap
-from .plant import SETTLE_S, DecoupledLinear, GainSchedule, _check_keys, equivalent_delay
+from .mapping import _wrap
+from .plant import SETTLE_S, DecoupledLinear, GainSchedule, equivalent_delay
 from .plant import held_joint_q, step  # noqa: F401  (perfbench's tracer wraps pipeline.step)
 from .wire import LatestValueMailbox, PoseFrame
 from .wire import decode_frame, encode_frame  # noqa: F401  (perfbench's tracer wraps these)
@@ -63,13 +63,6 @@ class ConfigInvalid(ExtremControlError):
 
 class InsufficientPoints(ExtremControlError):
     """Latency fit needs at least 3 sweep points."""
-
-
-def _check_finite(obj, names, error: type[Exception]) -> None:
-    for name in names:
-        value = getattr(obj, name)
-        if not _real(value):
-            raise error(f"{name} {value!r} must be a finite number")
 
 
 def default_robot_model() -> RobotModel:
@@ -104,12 +97,8 @@ class MotionSpec:
     axis: int = 2
 
     def __post_init__(self) -> None:
-        _check_finite(self, ("amplitude_m", "frequency_hz"), ValueError)
-        if self.amplitude_m <= 0 or self.frequency_hz <= 0:
-            raise ValueError(
-                f"amplitude_m {self.amplitude_m} and frequency_hz {self.frequency_hz} "
-                f"must be positive"
-            )
+        for name in ("amplitude_m", "frequency_hz"):
+            finite_positive(finite(getattr(self, name), name), name)
         if self.link not in LINKS:
             raise ValueError(f"link {self.link!r} not one of {LINKS}")
         if type(self.axis) is not int or self.axis not in (0, 1, 2):
@@ -131,8 +120,7 @@ class MotionSpec:
     @staticmethod
     def from_dict(d: dict) -> "MotionSpec":
         """Spec from its to_dict form, absent keys at their defaults; others are refused."""
-        _check_keys(d, MotionSpec.__dataclass_fields__, "motion")
-        return MotionSpec(**d)
+        return MotionSpec(**json_object(d, "motion", MotionSpec.__dataclass_fields__))
 
 
 @dataclass(frozen=True)
@@ -155,10 +143,11 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         # Every field with a float default: all but seed, motion and profile.
-        floats = [f.name for f in fields(self) if isinstance(f.default, float)]
-        _check_finite(self, floats, ConfigInvalid)
-        if min(self.capture_rate_hz, self.control_rate_hz, self.lowlevel_rate_hz) <= 0:
-            raise ConfigInvalid("all rates must be positive")
+        for name in (f.name for f in fields(self) if isinstance(f.default, float)):
+            finite(getattr(self, name), name, ConfigInvalid)
+        for name in ("capture_rate_hz", "control_rate_hz", "lowlevel_rate_hz", "duration_s",
+                     "omega_n", "plant_inertia"):
+            finite_positive(getattr(self, name), name, ConfigInvalid)
         ratio = self.lowlevel_rate_hz / self.control_rate_hz
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ConfigInvalid(
@@ -167,10 +156,8 @@ class PipelineConfig:
             )
         if not (0.0 <= self.drop_prob < 1.0):
             raise ConfigInvalid(f"drop_prob {self.drop_prob} outside [0, 1)")
-        if self.duration_s <= 0 or self.network_delay_s < 0 or self.jitter_std_s < 0:
-            raise ConfigInvalid("duration must be positive; delay and jitter non-negative")
-        if self.omega_n <= 0 or self.plant_inertia <= 0:
-            raise ConfigInvalid("omega_n and plant_inertia must be positive")
+        if self.network_delay_s < 0 or self.jitter_std_s < 0:
+            raise ConfigInvalid("delay and jitter must be non-negative")
         if self.zeta < 0:
             raise ConfigInvalid(f"zeta {self.zeta} must be non-negative")
         if not (0.0 <= self.eta <= 1.0):
@@ -258,7 +245,7 @@ def _run_transport(
     rng = np.random.default_rng(config.seed)
     profile = config.resolve_profile()
     motion = config.motion
-    row, axis = _row(motion.link), motion.axis
+    row, axis = LINKS.index(motion.link), motion.axis
 
     # Motion always plays out around the built-in performer's neutral; a
     # custom profile is applied to those frames as-is. Each human frame is

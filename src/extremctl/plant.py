@@ -34,7 +34,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import ExtremControlError
+from .errors import ExtremControlError, entry, finite, finite_positive, json_object, number, numbers
 
 QDOT_BLOWUP = 1e6
 
@@ -44,7 +44,8 @@ SETTLE_S = 2.0
 
 
 class NumericalBlowup(ExtremControlError):
-    """Integration produced non-finite state or |qdot| beyond 1e6 rad/s."""
+    """Integration produced non-finite state or |qdot| beyond 1e6 rad/s, or
+    a gain synthesized from finite inputs overflowed."""
 
 
 class Infeasible(ExtremControlError):
@@ -70,10 +71,11 @@ class GainSchedule:
         kp = np.atleast_1d(np.asarray(self.kp, dtype=float))
         kd = np.broadcast_to(np.asarray(self.kd, dtype=float), kp.shape).copy()
         eta = np.broadcast_to(np.asarray(self.eta, dtype=float), kp.shape).copy()
-        # Each check is written so that NaN fails it.
+        finite(kp, "kp")
+        finite(kd, "kd")
         if not (np.all(kp >= 0) and np.all(kd >= 0)):
             raise ValueError(f"gains must be non-negative, got kp {kp} kd {kd}")
-        if not (np.all(eta >= 0) and np.all(eta <= 1)):
+        if not (np.all(eta >= 0) and np.all(eta <= 1)):  # NaN fails it too
             raise ValueError(f"eta {eta} outside [0, 1]")
         object.__setattr__(self, "kp", kp)
         object.__setattr__(self, "kd", kd)
@@ -81,9 +83,8 @@ class GainSchedule:
         for name in ("omega_n", "zeta"):
             v = getattr(self, name)
             if v is not None:
-                object.__setattr__(
-                    self, name, np.broadcast_to(np.asarray(v, dtype=float), kp.shape).copy()
-                )
+                v = finite(np.broadcast_to(np.asarray(v, dtype=float), kp.shape).copy(), name)
+                object.__setattr__(self, name, v)
 
     @staticmethod
     def from_impedance(
@@ -92,15 +93,17 @@ class GainSchedule:
         zeta: Union[float, np.ndarray] = 1.0,
         eta: Union[float, np.ndarray] = 0.0,
     ) -> "GainSchedule":
-        """Gains realizing the target impedance: kp = M w^2, kd = 2 zeta M w."""
-        m_eff = np.atleast_1d(np.asarray(m_eff, dtype=float))
-        if not np.all(m_eff > 0):
-            raise ValueError(f"effective inertia {m_eff} must be positive")
+        """Gains realizing the target impedance: kp = M w^2, kd = 2 zeta M w;
+        a gain that overflows raises NumericalBlowup."""
+        m_eff = finite_positive(np.atleast_1d(np.asarray(m_eff, dtype=float)), "effective inertia")
         omega_n = np.broadcast_to(np.asarray(omega_n, dtype=float), m_eff.shape)
         zeta_b = np.broadcast_to(np.asarray(zeta, dtype=float), m_eff.shape)
+        kp, kd = m_eff * omega_n**2, 2.0 * zeta_b * m_eff * omega_n
+        if np.isinf(kp).any() or np.isinf(kd).any():
+            raise NumericalBlowup(f"non-finite gains kp {kp} kd {kd} from omega_n {omega_n}")
         return GainSchedule(
-            kp=m_eff * omega_n**2,
-            kd=2.0 * zeta_b * m_eff * omega_n,
+            kp=kp,
+            kd=kd,
             eta=np.broadcast_to(np.asarray(eta, dtype=float), m_eff.shape),
             omega_n=omega_n,
             zeta=zeta_b,
@@ -121,13 +124,18 @@ class GainSchedule:
     @staticmethod
     def from_dict(d: dict) -> "GainSchedule":
         """Schedule from its to_dict form (or an older file's); others are refused."""
-        _check_keys(d, _GAIN_KEYS, "gain schedule")
-        eta = np.asarray(d["eta"], dtype=float)
+        where = "gain schedule"
+        json_object(d, where, _GAIN_KEYS)
+        v = {k: numbers(value, k) for k, value in d.items() if k != "feedforward_enabled"}
+        eta = entry(v, "eta", where)
         if "feedforward_enabled" in d:
             # older gain files carry a per-joint enable mask: off means eta = 0
-            eta = np.where(np.asarray(d["feedforward_enabled"], dtype=bool), eta, 0.0)
-        return GainSchedule(kp=d["kp_nm_per_rad"], kd=d["kd_nms_per_rad"], eta=eta,
-                            omega_n=d.get("omega_n_rad_s"), zeta=d.get("zeta"))
+            mask = d["feedforward_enabled"]
+            if type(mask) is not list or set(map(type, mask)) - {bool}:
+                raise ValueError("feedforward_enabled must be a list of true and false")
+            eta = np.where(mask, eta, 0.0)
+        return GainSchedule(kp=entry(v, "kp_nm_per_rad", where), kd=entry(v, "kd_nms_per_rad", where),
+                            eta=eta, omega_n=v.get("omega_n_rad_s"), zeta=v.get("zeta"))
 
 
 @dataclass(frozen=True)
@@ -139,9 +147,7 @@ class DecoupledLinear:
 
     def __post_init__(self) -> None:
         inertia = np.atleast_1d(np.asarray(self.inertia, dtype=float))
-        if not _finite_positive(inertia):
-            raise ValueError(f"inertia {inertia} must be finite and positive")
-        object.__setattr__(self, "inertia", inertia)
+        object.__setattr__(self, "inertia", finite_positive(inertia, "inertia"))
         _check_dt(self.physics_dt)
 
     @property
@@ -184,12 +190,15 @@ class PlanarChain:
         l = np.atleast_1d(np.asarray(self.lengths, dtype=float))
         if m.shape != l.shape or m.ndim != 1:
             raise ValueError("masses and lengths must be 1-d arrays of equal length")
-        if not (_finite_positive(m) and _finite_positive(l)):
-            raise ValueError(f"masses {m} and lengths {l} must be finite and positive")
         com = l / 2.0 if self.com is None else np.asarray(self.com, dtype=float)
-        icom = (
-            m * l**2 / 12.0 if self.inertia_com is None else np.asarray(self.inertia_com, dtype=float)
-        )
+        icom = m * l**2 / 12.0 if self.inertia_com is None else np.asarray(self.inertia_com, dtype=float)
+        if com.shape != m.shape or icom.shape != m.shape:
+            raise ValueError(f"com {com} and inertia_com {icom} must hold one value per link")
+        finite_positive(m, "masses")
+        finite_positive(l, "lengths")
+        finite(com, "com")
+        finite(icom, "inertia_com")
+        finite(self.gravity, "gravity")
         _check_dt(self.physics_dt)
         object.__setattr__(self, "masses", m)
         object.__setattr__(self, "lengths", l)
@@ -292,46 +301,30 @@ _PLANT_KEYS = {
     "planar_chain": {"kind", "link_masses_kg", "link_lengths_m", "com_m",
                      "inertia_com_kg_m2", "gravity_m_s2", "physics_dt_s"},
 }
-
-
-def _check_keys(d: dict, allowed, what: str) -> None:
-    """Refuse a non-object, and any key the reader does not know by name,
-    so a misspelt field never runs as its default."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        raise ValueError(f"{what}: unknown key {', '.join(map(repr, unknown))}")
+# The plant keys holding one number; every other key but "kind" holds a list.
+_PLANT_SCALARS = {"gravity_m_s2", "physics_dt_s"}
 
 
 def plant_from_dict(d: dict) -> PlantModel:
     """Plant from its to_dict form; a key to_dict does not write is refused."""
-    kind = d.get("kind")
+    kind = json_object(d, "plant").get("kind")
     if kind not in _PLANT_KEYS:
         raise ValueError(f"unknown plant kind {kind!r}")
-    _check_keys(d, _PLANT_KEYS[kind], f"{kind} plant")
-    physics_dt = float(d.get("physics_dt_s", 1e-3))
+    where = f"{kind} plant"
+    json_object(d, where, _PLANT_KEYS[kind])
+    v = {k: (number if k in _PLANT_SCALARS else numbers)(value, k)
+         for k, value in d.items() if k != "kind"}
+    physics_dt = v.get("physics_dt_s", 1e-3)
     if kind == "decoupled_linear":
-        return DecoupledLinear(inertia=d["inertia_kg_m2"], physics_dt=physics_dt)
+        return DecoupledLinear(inertia=entry(v, "inertia_kg_m2", where), physics_dt=physics_dt)
     return PlanarChain(
-        masses=d["link_masses_kg"],
-        lengths=d["link_lengths_m"],
-        com=d.get("com_m"),
-        inertia_com=d.get("inertia_com_kg_m2"),
-        gravity=float(d.get("gravity_m_s2", 0.0)),
+        masses=entry(v, "link_masses_kg", where),
+        lengths=entry(v, "link_lengths_m", where),
+        com=v.get("com_m"),
+        inertia_com=v.get("inertia_com_kg_m2"),
+        gravity=v.get("gravity_m_s2", 0.0),
         physics_dt=physics_dt,
     )
-
-
-def _finite_positive(x: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(x)) and np.all(x > 0))
-
-
-def _check_finite_positive(**values: float) -> None:
-    for name, value in values.items():
-        # Comparisons with NaN are False, so NaN fails too.
-        if not (0.0 < value < math.inf):
-            raise ValueError(f"{name} {value} must be finite and positive")
 
 
 def _check_dt(dt: float) -> None:
@@ -465,7 +458,8 @@ def run_episode(
     control tick, at t = k * physics_dt for k = i * substeps; held_joint_q
     then integrates.
     """
-    _check_finite_positive(duration=duration, control_dt=control_dt)
+    finite_positive(duration, "duration")
+    finite_positive(control_dt, "control_dt")
     n = plant.n_joints
     dt = plant.physics_dt
     substeps = control_dt / dt
@@ -502,9 +496,7 @@ def frequency_response(gains: GainSchedule, omega: Union[float, np.ndarray]):
         raise ValueError("frequency_response needs impedance-derived gains (omega_n, zeta)")
     if not np.allclose(gains.zeta, 1.0):
         raise ValueError(f"frequency_response assumes zeta = 1, got {gains.zeta}")
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega <= 0):
-        raise ValueError("omega must be positive")
+    omega = finite_positive(np.asarray(omega, dtype=float), "omega")
     wn = gains.omega_n
     eta = gains.eta
     num = wn**2 + 1j * 2.0 * eta * wn * omega
@@ -532,8 +524,8 @@ def max_feedforward_ratio(omega_n: float, control_dt: float) -> float:
     ratio). Derived for critical damping, zeta = 1 (kd = 2 omega_n per
     unit inertia); the bound does not hold for other damping ratios.
     """
-    if omega_n <= 0 or control_dt <= 0:
-        raise ValueError("omega_n and control_dt must be positive")
+    finite_positive(omega_n, "omega_n")
+    finite_positive(control_dt, "control_dt")
     if omega_n * control_dt >= 4.0:
         raise Infeasible(
             f"omega_n * control_dt = {omega_n * control_dt:g} >= 4: no feasible feedforward ratio"
@@ -605,7 +597,8 @@ def simulate_delay_curve(
     from .latency import MotionSignal, estimate_lag
 
     # run_episode checks duration and control_dt for finiteness.
-    _check_finite_positive(omega_n=omega_n, wave_omega=wave_omega)
+    finite_positive(omega_n, "omega_n")
+    finite_positive(wave_omega, "wave_omega")
     if duration < SETTLE_S + 1.0:  # estimate_lag's 1 s min_overlap_s after the trim
         raise ValueError(f"duration {duration} s leaves under 1 s after the {SETTLE_S} s settle trim")
     etas = list(etas)

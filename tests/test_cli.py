@@ -155,6 +155,63 @@ def test_reference_parsing():
         _parse_reference("sin:1.0")
 
 
+@pytest.mark.parametrize("argv, env, message", [
+    # each used to escape as a Python error that named no flag
+    (["simulate", "--ref", "sin:1"], None, "--ref 'sin:1' is not sin:A,omega, const:x or ramp:v"),
+    (["delay-curve", "--etas", "a"], None, "--etas 'a' must be a finite number"),
+    (["delay-curve", "--etas", "0:1:nan"], None, "--etas nan must be a finite number"),
+    (["pipeline"], "abc", "EXTREMCTL_SEED 'abc' must be a non-negative integer"),
+    # each used to run the whole episode, then stop with NumericalBlowup
+    (["simulate", "--ref", "const:nan"], None, "--ref const nan must be a finite number"),
+    (["simulate", "--ref", "sin:nan,1"], None, "--ref sin nan must be a finite number"),
+    (["simulate", "--ref", "ramp:inf"], None, "--ref ramp inf must be a finite number"),
+    # each used to exit 0 with no eta run
+    (["delay-curve", "--etas", ""], None, "--etas '' holds no eta"),
+    (["pipeline", "--eta-sweep", ","], None, "--eta-sweep ',' holds no eta"),
+], ids=["ref-arity", "etas-text", "etas-range-nan", "seed-env", "ref-const-nan", "ref-sin-nan",
+        "ref-ramp-inf", "etas-empty", "eta-sweep-empty"])
+def test_cli_text_value_refused_naming_its_flag(tmp_path, capsys, monkeypatch, argv, env, message):
+    """A flag's text value, or EXTREMCTL_SEED, that is not what the flag
+    takes exits 1 naming it before anything runs or is written."""
+    from extremctl import cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before the flags were checked")
+
+    for name in ("run_episode", "simulate_delay_curve", "run_pipeline", "run_pipeline_sweep"):
+        monkeypatch.setattr(cli, name, no_run)
+    if env is not None:
+        monkeypatch.setenv("EXTREMCTL_SEED", env)
+    write_plant_inputs(tmp_path, inertia=(1.0,))
+    if argv[0] == "simulate":
+        argv = argv + ["--plant", str(tmp_path / "plant.json"), "--gains", str(tmp_path / "gains.json")]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+    assert not out.exists()
+
+
+# Each command's input file flags.
+INPUT_FLAGS = {"calibrate-map": ("neutral", "robot"), "map": ("profile", "frames"),
+               "calibrate-gains": ("plant",), "simulate": ("plant", "gains")}
+
+
+@pytest.mark.parametrize("command, missing", [(c, f) for c, flags in INPUT_FLAGS.items()
+                                              for f in flags])
+def test_missing_input_file_flag_exits_one_naming_it(tmp_path, capsys, command, missing):
+    """A missing input file flag used to escape as a TypeError traceback.
+    It is refused before any file is read: the command's other input
+    flags name a file that does not exist, which would fail if read."""
+    argv = [command, "--out", str(tmp_path / "out")]
+    for flag in INPUT_FLAGS[command]:
+        if flag != missing:
+            argv += [f"--{flag}", str(tmp_path / "absent.json")]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError",
+                                                   "message": f"--{missing} is required"}
+    assert list(tmp_path.iterdir()) == []
+
+
 # ------------------------------------------------------- mapping commands
 
 
@@ -327,7 +384,7 @@ def test_map_refuses_non_positive_profile_length_naming_it(tmp_path, capsys, pat
     negative pelvis height ran and mirrored the stream."""
     diag = _map_with_profile_value(tmp_path, capsys, path, value)
     assert diag == {"error": "ValueError",
-                    "message": f"{' '.join(path)} {float(value)!r} must be a positive finite number"}
+                    "message": f"{' '.join(path)} {float(value)!r} must be finite and positive"}
 
 
 @pytest.mark.parametrize("path, named", [(["rot_offset", "pelvis"], "rot_offset pelvis"),
@@ -762,6 +819,45 @@ def test_gain_file_unknown_key_exits_one_naming_it(tmp_path, capsys):
     diag = json.loads(err)
     assert diag["error"] == "ValueError" and "unknown key 'kpp'" in diag["message"]
     assert not out.exists()
+
+
+# One-joint plant and gain files holding every key their readers take,
+# each value an integer where the file allows one.
+KIND_FILES = {
+    "decoupled": {"kind": "decoupled_linear", "inertia_kg_m2": [1], "physics_dt_s": 0.001},
+    "chain": {"kind": "planar_chain", "link_masses_kg": [1], "link_lengths_m": [1], "com_m": [0],
+              "inertia_com_kg_m2": [1], "gravity_m_s2": 0, "physics_dt_s": 0.001},
+    "gains": {"kp_nm_per_rad": [100], "kd_nms_per_rad": [20], "eta": [0], "omega_n_rad_s": [10],
+              "zeta": [1], "feedforward_enabled": [True]},
+}
+
+
+@pytest.mark.parametrize("file, key, value", [
+    (file, key, value)
+    for file, d in KIND_FILES.items() for key in d if key != "kind"
+    for value in ((["false"],) if key == "feedforward_enabled" else
+                  ("0.001", True) if key in ("physics_dt_s", "gravity_m_s2") else (["1.0"], [True]))
+], ids=str)
+def test_plant_and_gain_file_value_of_wrong_kind_exits_one_naming_key(tmp_path, capsys, file,
+                                                                      key, value):
+    """Numeric strings and bools used to run as numbers, and a "false"
+    mask entry as enabled; they are refused as in every other reader. The
+    files load as written, integers included."""
+    files = {"plant": dict(KIND_FILES["chain" if file == "chain" else "decoupled"]),
+             "gains": dict(KIND_FILES["gains"])}
+    argv = ["simulate", "--duration", "0.1", "--out", str(tmp_path / "e.csv")]
+    for flag, d in files.items():
+        fileio.dump_json(str(tmp_path / f"{flag}.json"), d)
+        argv += [f"--{flag}", str(tmp_path / f"{flag}.json")]
+    assert main(argv) == 0
+    files["gains" if file == "gains" else "plant"][key] = value
+    for flag, d in files.items():
+        fileio.dump_json(str(tmp_path / f"{flag}.json"), d)
+    (tmp_path / "e.csv").unlink()
+    assert main(argv) == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "ValueError" and diag["message"].startswith(key)
+    assert not (tmp_path / "e.csv").exists()
 
 
 @pytest.mark.parametrize(

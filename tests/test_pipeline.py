@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from extremctl import pipeline
-from extremctl.mapping import LinkSet, _row, map_frame
+from extremctl.mapping import LINKS, LinkSet, map_frame
 from extremctl.pipeline import (
     ConfigInvalid,
     ConsumedFrame,
@@ -224,7 +224,7 @@ def reference_transport(config, n_steps, substeps, mailbox):
     rng = np.random.default_rng(config.seed)
     profile = config.resolve_profile()
     motion = config.motion
-    row, axis = _row(motion.link), motion.axis
+    row, axis = LINKS.index(motion.link), motion.axis
     neutral = default_human_neutral()
     human = neutral.array.copy()
     base = float(human[row, axis])

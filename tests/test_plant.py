@@ -1,6 +1,7 @@
 """Torque law, integrators, coupled-chain dynamics against a textbook
 closed form, episode machinery, and the closed-form tracking analysis."""
 
+import json
 import math
 
 import numpy as np
@@ -268,6 +269,11 @@ def test_chain_rejects_bad_geometry():
         PlanarChain(masses=np.array([1.0, 2.0]), lengths=np.array([0.4]))
     with pytest.raises(ValueError):
         PlanarChain(masses=np.array([1.0, -2.0]), lengths=np.array([0.4, 0.3]))
+    # a com or inertia_com of another length used to escape as an IndexError
+    for field in ("com", "inertia_com"):
+        with pytest.raises(ValueError, match="must hold one value per link"):
+            PlanarChain(masses=np.array([1.0, 1.0]), lengths=np.array([0.4, 0.3]),
+                        **{field: np.array([0.1])})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -276,6 +282,13 @@ def test_chain_refuses_non_finite_masses_and_lengths(bad):
         PlanarChain(masses=np.array([bad, 1.0]), lengths=np.array([0.4, 0.3]))
     with pytest.raises(ValueError, match=r"lengths \[0.4\s+(nan|inf)"):
         PlanarChain(masses=np.array([1.0, 1.0]), lengths=np.array([0.4, bad]))
+    # gravity, com and inertia_com used to end as NoOscillation or as a
+    # "gains must be non-negative" refusal far from the field at fault
+    for field, value, named in [("gravity", bad, rf"^gravity {bad}"),
+                                ("com", np.array([bad, 0.1]), rf"^com \[\s*{bad}"),
+                                ("inertia_com", np.array([0.01, bad]), rf"^inertia_com \[0.01\s+{bad}")]:
+        with pytest.raises(ValueError, match=named):
+            PlanarChain(masses=np.array([1.0, 1.0]), lengths=np.array([0.4, 0.3]), **{field: value})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
@@ -553,6 +566,17 @@ def test_gain_schedule_refuses_nan_naming_value():
         GainSchedule(kp=np.array([1.0]), kd=np.array([1.0]), eta=nan)
     with pytest.raises(ValueError, match=r"effective inertia \[nan\]"):
         GainSchedule.from_impedance(m_eff=math.nan, omega_n=10.0)
+    # inf used to pass and end as NumericalBlowup (1e309 in a gain file)
+    inf, one = np.array([math.inf]), np.array([1.0])
+    with pytest.raises(ValueError, match=r"^kp \[inf\]"):
+        GainSchedule(kp=inf, kd=one, eta=one)
+    with pytest.raises(ValueError, match=r"^kd \[inf\]"):
+        GainSchedule(kp=one, kd=inf, eta=one)
+    with pytest.raises(ValueError, match=r"^kp \[inf\]"):
+        GainSchedule.from_dict(json.loads('{"kp_nm_per_rad": [1e309], "kd_nms_per_rad": [1], "eta": [0]}'))
+    for name in ("omega_n", "zeta"):
+        with pytest.raises(ValueError, match=rf"^{name} \[nan\]"):
+            GainSchedule(kp=one, kd=one, eta=one, **{name: nan})
 
 
 def test_gain_schedule_round_trip():
