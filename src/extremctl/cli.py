@@ -117,11 +117,18 @@ class _Merged:
         return value
 
     def seed(self) -> int:
+        """--seed, else the --config seed, else EXTREMCTL_SEED, else 0; a
+        negative seed is refused naming where it came from."""
         value = self.get("seed", kind=int)
-        text = os.environ.get("EXTREMCTL_SEED", "0")
-        if value is None and not text.strip().isdecimal():
-            raise ValueError(f"EXTREMCTL_SEED {text!r} must be a non-negative integer")
-        return int(text) if value is None else value
+        if value is None:
+            text = os.environ.get("EXTREMCTL_SEED", "0")
+            if not text.strip().isdecimal():
+                raise ValueError(f"EXTREMCTL_SEED {text!r} must be a non-negative integer")
+            return int(text)
+        if value < 0:
+            where = f"--seed {value}" if self.args.seed is not None else f"{self.args.config}: seed {value}"
+            raise ValueError(f"{where} must be a non-negative integer")
+        return value
 
 
 def _reals(text: str, where: str, sep: str = ",") -> list[float]:
@@ -192,6 +199,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 def _cmd_calibrate_gains(args: argparse.Namespace) -> int:
     m = _Merged(args)
+    seed = m.seed()
     plant_path = m.required("plant")
     plant = plant_from_dict(_load_object(plant_path))
     config = CalibrationConfig(
@@ -203,7 +211,6 @@ def _cmd_calibrate_gains(args: argparse.Namespace) -> int:
         sweeps=m.get("sweeps", 3, int),
         convergence_tol=m.get("tol", 0.02, float),
     )
-    seed = m.seed()
     result = calibrate_chain(plant, config, seed=seed)
     fileio.dump_json(args.out, result.to_dict())
     _write_meta(args.out, "calibrate-gains", {"plant": plant_path, "seed": seed})
@@ -292,8 +299,13 @@ def _cmd_latency(args: argparse.Namespace) -> int:
             ("frames", fileio.read_frame_dir),
         ):
             path = m.get(f"{kind}-{which}")
-            if path is not None:
-                return reader, path, None if kind == "signal" else region(which)
+            if path is None:
+                continue
+            if kind == "signal":
+                return reader, path, None
+            if fps is None:
+                raise ValueError(f"--fps is required with --{kind}-{which}")
+            return reader, path, region(which)
         raise ValueError(f"side {which}: give --signal-{which}, --frames-{which}, or --flows-{which}")
 
     (read_a, path_a, region_a), (read_b, path_b, region_b) = side("a"), side("b")

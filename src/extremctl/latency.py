@@ -216,12 +216,22 @@ def block_match_flow(
     is 2*(sum of max(sa[p] + sb, pb[p + d]) - bb*sb), and the kernel
     minimizes half of it: an add, a maximum and an accumulate per pixel
     offset. It loops over the block's pixel columns; each step fills a
-    (block, nv, nu, nby, nbx) slab with one column's terms for every pixel
-    row, displacement and tile, reading a polyphase copy of frame b (one
-    plane per pixel offset, tiles on the last two axes), and sums it over
-    its rows into the costs. The frame-b tile sums at every displacement
-    are window sums of the padded frame, built by doubling (windows of 1,
-    2, 4, ... rows, then columns).
+    (block, nv, nu, n) slab with one column's terms for every pixel row,
+    displacement and searched tile, reading a polyphase copy of frame b
+    (one plane per pixel offset, the n searched tiles on the last axis),
+    and sums it over its rows into the costs. The frame-b tile sums at
+    every displacement are window sums of the padded frame, built by
+    doubling (windows of 1, 2, 4, ... rows, then columns).
+
+    Searched tiles: on integer frames, a tile whose a - b is one constant
+    is not searched and keeps d = 0 (zero-motion prejudgment with a
+    threshold of 0). That is exact: such a tile's mean-removed difference
+    at d = 0 is zero, so its cost there is 0; every exact integer cost is
+    at least 0, and d = 0 is first in the tie order, so the search would
+    pick d = 0 too. Only the remaining tiles get the polyphase copy, the
+    column loop, the validity mask and the argmin, so the cost of a pair
+    grows with the number of tiles that changed. Float frames search
+    every tile, since their costs may round.
 
     Exactness and dtype: frames of integer dtype (what read_pgm returns)
     are matched in exact integer arithmetic on pixels shifted by the
@@ -279,56 +289,69 @@ def block_match_flow(
         # img - lo, formed in int64 (float64) and stored in the term dtype
         np.subtract(img, lo, out=out, dtype=wide, casting="unsafe")
 
-    # sa[px, py, ty, tx] = bb * a[ty*block + py, tx*block + px] - (tile sum of a)
-    sa = np.empty((block, block, nby, nbx), dtype=term)
-    shifted(a[:h2, :w2].reshape(nby, block, nbx, block).transpose(3, 1, 0, 2), sa)
-    tile_sums = sa.sum(axis=(0, 1), dtype=term)
-    sa *= bb
-    sa -= tile_sums
-
-    # Frame b minus lo, zero-padded by the radius, so that padded row i is
-    # frame row i - rv; the pad only feeds displacements masked below.
+    # Frame a minus lo, and frame b minus lo zero-padded by the radius, so
+    # that padded row i is frame row i - rv; the pad only feeds
+    # displacements masked below.
+    a_shift = np.empty((h2, w2), dtype=term)
+    shifted(a[:h2, :w2], a_shift)
     pad = np.zeros((h2 + 2 * rv, w2 + 2 * ru), dtype=term)
     rows, cols = min(h, h2 + rv), min(w, w2 + ru)
     shifted(b[:rows, :cols], pad[rv : rv + rows, ru : ru + cols])
 
-    def polyphase(img, planes_y, planes_x):
-        # view[qy, qx, ty, tx] = img[ty*block + qy, tx*block + qx]
-        return np.lib.stride_tricks.as_strided(
+    # The searched tiles t = ty*nbx + tx (see "Searched tiles" above).
+    if acc is np.float64:
+        tiles = np.arange(nby * nbx)
+    else:
+        diff = (a_shift - pad[rv : rv + h2, ru : ru + w2]).reshape(nby, block, nbx, block)
+        tiles = np.flatnonzero((diff != diff[:, :1, :, :1]).any(axis=1).any(axis=2))
+    n = tiles.size
+    # The searched tiles of a (..., nby, nbx) array, in the order of tiles.
+    # With every tile searched, slices give that order without a gather.
+    at = (..., slice(None), slice(None)) if n == nby * nbx else (..., *np.divmod(tiles, nbx))
+
+    def gathered(img, planes_y, planes_x, scale=1):
+        # out[qy, qx, t] = scale * img[ty*block + qy, tx*block + qx]
+        view = np.lib.stride_tricks.as_strided(
             img,
             shape=(planes_y, planes_x, nby, nbx),
             strides=(img.strides[0], img.strides[1], block * img.strides[0], block * img.strides[1]),
             writeable=False,
-        )
+        )[at]
+        out = np.empty((planes_y, planes_x, n), dtype=term)
+        np.multiply(view, scale, out=out.reshape(view.shape))
+        return out
 
-    pb = np.empty((block + 2 * rv, block + 2 * ru, nby, nbx), dtype=term)
-    np.multiply(polyphase(pad, *pb.shape[:2]), bb, out=pb)
+    # sa[py, px, t] = bb * (a - lo)[ty*block + py, tx*block + px] - (tile sum)
+    sa = gathered(a_shift, block, block)
+    tile_sums = sa.sum(axis=(0, 1), dtype=term)
+    sa *= bb
+    sa -= tile_sums
+    pb = gathered(pad, block + 2 * rv, block + 2 * ru, bb)
     # Frame-b tile sums at every displacement: box[y, x] is the sum of
     # pad[y : y + block, x : x + block].
     box = _window_sums(_window_sums(pad, block).T, block).T
-    sb = np.ascontiguousarray(polyphase(box, nv, nu))
+    sb = gathered(box, nv, nu)
 
-    # cost[dv, du, ty, tx] = sum over the tile of max(sa + sb, pb) - bb*sb
+    # cost[dv, du, t] = sum over the tile of max(sa + sb, pb) - bb*sb
     cost = np.multiply(sb, -bb, dtype=acc)
-    slab = np.empty((block, nv, nu, nby, nbx), dtype=term)
+    slab = np.empty((block, nv, nu, n), dtype=term)
     rows_sum = np.empty_like(cost)
+    # pb_px[px][py, dv, du, t] = pb[py + dv, px + du, t]
     s = pb.strides
+    pb_px = np.lib.stride_tricks.as_strided(
+        pb, shape=(block,) + slab.shape, strides=(s[1], s[0], s[0], s[1], s[2]), writeable=False
+    )
     for px in range(block):
-        # slab[py, dv, du, ty, tx] = max(sa[px, py] + sb[dv, du], pb[py + dv, px + du])
-        np.add(sa[px, :, None, None], sb, out=slab)
-        pb_px = np.lib.stride_tricks.as_strided(
-            pb[:, px:], shape=slab.shape, strides=(s[0], s[0], s[1], s[2], s[3]), writeable=False
-        )
-        np.maximum(slab, pb_px, out=slab)
+        # slab[py, dv, du, t] = max(sa[py, px, t] + sb[dv, du, t], pb[py + dv, px + du, t])
+        np.add(sa[:, px, None, None], sb, out=slab)
+        np.maximum(slab, pb_px[px], out=slab)
         cost += np.sum(slab, axis=0, dtype=acc, out=rows_sum)
 
     # A displacement counts for a tile only if the displaced tile lies
     # inside the frame. Every cost is below bb*term_bound, so the dtype's
     # maximum loses to every valid displacement.
-    cost[invalid] = np.inf if acc is np.float64 else np.iinfo(acc).max
-    best = np.argmin(cost.reshape(nv * nu, nby, nbx)[order], axis=0)
-    dv_best = darr[best, 0].astype(float)
-    du_best = darr[best, 1].astype(float)
+    cost[invalid[at].reshape(cost.shape)] = np.inf if acc is np.float64 else np.iinfo(acc).max
+    best = np.argmin(cost.reshape(nv * nu, n)[order], axis=0)
 
     if exact_texture:  # the float64 test below, read from exact integer sums
         texture = np.abs(sa).sum(axis=(0, 1), dtype=np.int64) / bb**2
@@ -336,9 +359,13 @@ def block_match_flow(
         a_tiles = np.asarray(frame_a, dtype=float)[:h2, :w2].reshape(nby, block, nbx, block)
         a_tiles = a_tiles.swapaxes(1, 2)
         texture = np.abs(a_tiles - a_tiles.mean(axis=(2, 3), keepdims=True)).mean(axis=(2, 3))
-    flat = texture <= texture_threshold
-    dv_best[flat] = 0.0
-    du_best[flat] = 0.0
+        texture = texture.ravel()[tiles]
+    # Index 0 of the tie order is d = 0: flat and unsearched tiles keep it.
+    best[texture <= texture_threshold] = 0
+    winner = np.zeros(nby * nbx, dtype=best.dtype)
+    winner[tiles] = best
+    dv_best = darr[winner, 0].reshape(nby, nbx).astype(float)
+    du_best = darr[winner, 1].reshape(nby, nbx).astype(float)
 
     u = np.zeros((h, w))
     v = np.zeros((h, w))
@@ -568,9 +595,9 @@ def flow_signal(flows, region: RegionSpec, fps: float, t0: float = 0.0) -> Motio
     released once the next one is built, so at most two are alive.
     Releasing it before the next is built would save one field, but then
     the allocator returns block_match_flow's temporaries to the system and
-    faults them in again on every pair: on two 121-frame 160x120 views,
-    88k minor page faults per analyze_pair, against 0.9k as written and
-    18.6k when every field is held."""
+    faults them in again on most pairs: on two 121-frame 160x120 views,
+    the first analyze_pair of a process takes 21.9k minor page faults,
+    against 5.5k as written and 18.1k when every field is held."""
     values = [project_region(f, region) for f in flows]
     return MotionSignal(np.asarray(values), fps, t0)
 

@@ -161,6 +161,9 @@ def test_reference_parsing():
     (["delay-curve", "--etas", "a"], None, "--etas 'a' must be a finite number"),
     (["delay-curve", "--etas", "0:1:nan"], None, "--etas nan must be a finite number"),
     (["pipeline"], "abc", "EXTREMCTL_SEED 'abc' must be a non-negative integer"),
+    # numpy refused it mid-run, naming no flag
+    (["pipeline", "--seed", "-1"], None, "--seed -1 must be a non-negative integer"),
+    (["calibrate-gains", "--seed", "-3"], None, "--seed -3 must be a non-negative integer"),
     # each used to run the whole episode, then stop with NumericalBlowup
     (["simulate", "--ref", "const:nan"], None, "--ref const nan must be a finite number"),
     (["simulate", "--ref", "sin:nan,1"], None, "--ref sin nan must be a finite number"),
@@ -168,8 +171,9 @@ def test_reference_parsing():
     # each used to exit 0 with no eta run
     (["delay-curve", "--etas", ""], None, "--etas '' holds no eta"),
     (["pipeline", "--eta-sweep", ","], None, "--eta-sweep ',' holds no eta"),
-], ids=["ref-arity", "etas-text", "etas-range-nan", "seed-env", "ref-const-nan", "ref-sin-nan",
-        "ref-ramp-inf", "etas-empty", "eta-sweep-empty"])
+], ids=["ref-arity", "etas-text", "etas-range-nan", "seed-env", "seed-negative",
+        "seed-negative-calibrate", "ref-const-nan", "ref-sin-nan", "ref-ramp-inf", "etas-empty",
+        "eta-sweep-empty"])
 def test_cli_text_value_refused_naming_its_flag(tmp_path, capsys, monkeypatch, argv, env, message):
     """A flag's text value, or EXTREMCTL_SEED, that is not what the flag
     takes exits 1 naming it before anything runs or is written."""
@@ -178,7 +182,8 @@ def test_cli_text_value_refused_naming_its_flag(tmp_path, capsys, monkeypatch, a
     def no_run(*args, **kwargs):
         raise AssertionError("ran before the flags were checked")
 
-    for name in ("run_episode", "simulate_delay_curve", "run_pipeline", "run_pipeline_sweep"):
+    for name in ("run_episode", "simulate_delay_curve", "run_pipeline", "run_pipeline_sweep",
+                 "calibrate_chain"):
         monkeypatch.setattr(cli, name, no_run)
     if env is not None:
         monkeypatch.setenv("EXTREMCTL_SEED", env)
@@ -441,6 +446,23 @@ def test_pipeline_config_fractional_seed_exits_one_naming_it(tmp_path, capsys):
     assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run.json")]) == 1
     assert json.loads(capsys.readouterr().err) == {
         "error": "ValueError", "message": f"{cfg}: seed 1.9 must be an integer"}
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_pipeline_config_negative_seed_exits_one_naming_it(tmp_path, capsys, monkeypatch):
+    """numpy used to refuse "seed": -1 mid-run with "expected non-negative
+    integer", naming neither the key nor the value."""
+    from extremctl import cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before the seed was checked")
+
+    monkeypatch.setattr(cli, "run_pipeline", no_run)
+    cfg = tmp_path / "cfg.json"
+    fileio.dump_json(str(cfg), {"seed": -1, "duration_s": 5})
+    assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run.json")]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": f"{cfg}: seed -1 must be a non-negative integer"}
     assert list(tmp_path.iterdir()) == [cfg]
 
 
@@ -959,14 +981,18 @@ def test_latency_refuses_bad_max_lag_naming_value(tmp_path, capsys):
     ("--region-b", "0,0,16,16,inf,0", "--region-b: direction"),
     ("--region-b", "0,0,16,16,1", "--region-b: expected x,y,w,h,dx,dy"),
     ("--region-b", None, "--region-b is required"),
+    # used to read every frame, then stop naming no flag
+    ("--fps", None, "--fps is required with --frames-a"),
 ])
 def test_latency_checks_flags_before_matching(tmp_path, capsys, monkeypatch, flag, value, named):
+    """Every flag is checked before any frame is read or matched."""
     from extremctl import latency
 
     def no_matching(*args, **kwargs):
-        raise AssertionError("frames block-matched before the flags were checked")
+        raise AssertionError("frames read or block-matched before the flags were checked")
 
     monkeypatch.setattr(latency, "block_match_flow", no_matching)
+    monkeypatch.setattr(fileio, "read_frame_dir", no_matching)
     rng = np.random.default_rng(4)
     for view in ("a", "b"):
         (tmp_path / view).mkdir()

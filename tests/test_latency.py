@@ -186,11 +186,25 @@ def _paint(best, texture, texture_threshold, block, h, w):
     return u, v
 
 
+def _partly_static(rng, a, block, maxval):
+    """Frame b from frame a tile by tile: each full tile is left identical,
+    raised by one constant, or taken from a shifted and noisy copy of a;
+    the border pixels past the last full tile come from that copy too."""
+    h, w = a.shape
+    moved = np.clip(np.roll(a, rng.integers(-4, 5, 2), axis=(0, 1)) + rng.integers(-2, 3, (h, w)),
+                    0, maxval)
+    role = np.kron(rng.integers(0, 3, (h // block, w // block)), np.ones((block, block), int))
+    role = np.pad(role, ((0, h % block), (0, w % block)), constant_values=2)
+    return np.choose(role, [a, a + rng.integers(-3, 4), moved])
+
+
 def _frame_pair_cases(st, blocks):
     """Integer frame pairs with block, radius and texture threshold: shapes
     not a multiple of the block, radii 0-6 or beyond the frame, and scenes
     full of exact ties (constant, two-level, periodic, diagonal stripes)
-    next to random and shifted ones, at 8-bit and 16-bit pixel ranges."""
+    next to random and shifted ones, at 8-bit and 16-bit pixel ranges.
+    Partly static pairs mix tiles that are searched with tiles whose a - b
+    is constant, which block_match_flow settles without a search."""
 
     @st.composite
     def cases(draw):
@@ -199,7 +213,8 @@ def _frame_pair_cases(st, blocks):
         w = block * draw(st.integers(1, 3)) + draw(st.integers(0, block - 1))
         radius = draw(st.one_of(st.integers(0, 6), st.just(max(h, w) + 2)))
         maxval = draw(st.sampled_from([255, 65535]))
-        kinds = ["random", "shifted", "constant", "two-level", "periodic", "diagonal"]
+        kinds = ["random", "shifted", "constant", "two-level", "periodic", "diagonal",
+                 "partly static"]
         kind = draw(st.sampled_from(kinds))
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         if kind == "constant":
@@ -221,6 +236,9 @@ def _frame_pair_cases(st, blocks):
                 slope = rng.choice([-1, 1])
                 a = stripes[(xx + slope * yy) % stripes.size]
                 b = stripes[(xx - dx + slope * (yy - dy)) % stripes.size]
+        elif kind == "partly static":
+            a = rng.integers(3, maxval - 2, (h, w))
+            b = _partly_static(rng, a, block, maxval)
         else:
             a = rng.integers(0, maxval + 1, (h, w))
             b = rng.integers(0, maxval + 1, (h, w))
@@ -273,6 +291,33 @@ def test_flow_equals_exact_integer_costs_on_other_blocks(hypothesis_settings):
         assert np.array_equal(flow.u, want_u) and np.array_equal(flow.v, want_v), "offset int64"
 
     check()
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+def test_all_static_pair_gives_zero_flow(dtype):
+    """b == a and b == a + c: every tile's a - b is constant, so every
+    tile keeps d = 0, as the displacement loop finds."""
+    rng = np.random.default_rng(9)
+    a = rng.integers(10, 240, (45, 70)).astype(dtype)
+    want_u, want_v = _reference_flow(a, a, 8, 4, 1.0)
+    assert not want_u.any() and not want_v.any()
+    for b in (a, a + dtype(7)):
+        flow = block_match_flow(a, b, 8, 4, 1.0)
+        assert np.array_equal(flow.u, want_u) and np.array_equal(flow.v, want_v)
+
+
+def test_float_pair_with_static_tiles_equals_displacement_loop():
+    """Float frames search every tile, static ones too, and equal the loop."""
+    rng = np.random.default_rng(10)
+    a = rng.integers(3, 253, (44, 61))
+    moving = 0
+    for seed in range(5):
+        b = _partly_static(np.random.default_rng(seed), a, 8, 255)
+        want_u, want_v = _reference_flow(a, b, 8, 4, 1.0)
+        flow = block_match_flow(a.astype(float), b.astype(float), 8, 4, 1.0)
+        assert np.array_equal(flow.u, want_u) and np.array_equal(flow.v, want_v)
+        moving += np.any(want_u) or np.any(want_v)
+    assert moving >= 3
 
 
 def _term_at_bound(block, span):
