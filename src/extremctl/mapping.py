@@ -17,15 +17,19 @@ Frames:
     * the robot's neutral stance is its model frame: standing at the
       origin facing +x, all link orientations identity.
 
-A LinkSet holds its six poses as one read-only (6, 7) float64 array, the
-wire layout: row i is link LINKS[i] (pelvis, torso, left_hand,
-right_hand, left_foot, right_foot), columns are the translation x, y, z
-in meters, then the unit quaternion w, x, y, z with w >= 0. A stream of
-N frames is the same layout stacked, an (N, 6, 7) array.
+A LinkSet holds its six poses in the wire layout: row i is link
+LINKS[i] (pelvis, torso, left_hand, right_hand, left_foot, right_foot),
+columns are the translation x, y, z in meters, then the unit quaternion
+w, x, y, z with w >= 0. It has two views of the same 42 floats in that
+row order, the tuple `values` and the read-only (6, 7) float64 `array`;
+either is built from the other on first use. A stream of N frames is
+the same layout stacked, an (N, 6, 7) array.
 
 The retarget algebra exists once, in _retarget_body, over the 42 values
 of a frame in that order. map_frame, the per-frame relay path, runs it
-on plain floats with the se3.qunit kernel; map_frames, the batch path,
+on `values` with the se3.qunit kernel, so a frame relayed through
+wire.decode_frame, map_frame and wire.encode_frame never builds an
+array; map_frames, the batch path,
 runs it on 42 (N,) columns with se3.qunit_columns. Both give the same
 bits. Calibration runs the same se3 kernels on the rows of one frame; a
 pose outside a LinkSet is a (q, t) pair of tuples, as in se3.
@@ -120,12 +124,27 @@ def links_row(d) -> list:
     return [v for name in LINKS for v in pose_row(entry(d, name, "links"), name)]
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class LinkSet:
-    """One pose per tracked link, as a read-only (6, 7) array (see module
-    doc). Built by from_array or from_dict, which validate it."""
+    """One pose per tracked link, as two views of the same 42 floats in
+    row order (see module doc): the tuple `values` and the read-only (6, 7)
+    `array`. Either is built from the other on first use. Built by
+    from_array or from_dict, which validate it."""
 
-    array: np.ndarray
+    __slots__ = ("_values", "_array")
+
+    @property
+    def values(self) -> tuple:
+        if self._values is None:
+            self._values = tuple(self._array.ravel().tolist())
+        return self._values
+
+    @property
+    def array(self) -> np.ndarray:
+        if self._array is None:
+            a = np.array(self._values, dtype=float).reshape(len(LINKS), 7)
+            a.setflags(write=False)
+            self._array = a
+        return self._array
 
     @staticmethod
     def from_array(array) -> "LinkSet":
@@ -137,20 +156,26 @@ class LinkSet:
         return _validated(a.ravel().tolist())
 
     def to_dict(self) -> dict:
-        rows = self.array.tolist()
-        return {name: {"q": row[3:], "p": row[:3]} for name, row in zip(LINKS, rows)}
+        return {name: {"q": list(q), "p": list(t)} for name, (q, t) in _poses(self).items()}
 
     @staticmethod
     def from_dict(d: dict) -> "LinkSet":
         return _validated(links_row(d))
 
 
-def _wrap(a: np.ndarray) -> LinkSet:
-    """A LinkSet around an array that already holds valid poses."""
-    a.setflags(write=False)
+def _links(values: tuple | None, array: np.ndarray | None) -> LinkSet:
+    """A LinkSet from one of its views; the other is built on first use."""
     links = object.__new__(LinkSet)
-    object.__setattr__(links, "array", a)
+    links._values = values
+    links._array = array
     return links
+
+
+def _wrap(a: np.ndarray) -> LinkSet:
+    """A LinkSet around a (6, 7) array that already holds valid poses; the
+    one constructor that skips validation."""
+    a.setflags(write=False)
+    return _links(None, a)
 
 
 def _validated(values: list) -> LinkSet:
@@ -161,7 +186,13 @@ def _validated(values: list) -> LinkSet:
     if not all(map(math.isfinite, values)):
         link = next(LINKS[i // 7] for i, v in enumerate(values) if not math.isfinite(v))
         raise ValueError(f"non-finite {link} translation")
-    return _wrap(np.array(values, dtype=float).reshape(len(LINKS), 7))
+    return _links(tuple(values), None)
+
+
+def _poses(links: LinkSet) -> dict:
+    """{link: (q, t)} over the values of a LinkSet."""
+    v = links.values
+    return {name: (v[k + 3 : k + 7], v[k : k + 3]) for name, k in zip(LINKS, range(0, len(v), 7))}
 
 
 def _stream_shaped(a: np.ndarray) -> np.ndarray:
@@ -366,13 +397,12 @@ def calibrate(neutral: LinkSet, robot: RobotModel) -> CalibrationProfile:
     Raises DegenerateNeutral when pelvis height <= 0.3 m or an arm
     length <= 0.1 m, the floor for a plausible standing human.
     """
-    rows = neutral.array.tolist()
-    anchor = heading_anchor(rows[0][3:], rows[0][:3])
+    poses = _poses(neutral)
+    anchor = heading_anchor(*poses["pelvis"])
     to_anchor = pinv(*anchor)
     # Every link as a pose (q, t) in the anchor frame; the robot's as given.
-    local = {name: pmul(*to_anchor, row[3:], row[:3]) for name, row in zip(LINKS, rows)}
-    robot_rows = robot.neutral_links().array.tolist()
-    robot_neutral = {name: (row[3:], row[:3]) for name, row in zip(LINKS, robot_rows)}
+    local = {name: pmul(*to_anchor, *pose) for name, pose in poses.items()}
+    robot_neutral = _poses(robot.neutral_links())
 
     z_h = local["pelvis"][1][2]
     if z_h <= MIN_PELVIS_HEIGHT_M:
@@ -456,10 +486,10 @@ def map_frame(profile: CalibrationProfile, human: LinkSet) -> LinkSet:
     scaling. Orientations compose the performer's rotation with the
     calibrated offset. Stateless: same input frame, same output.
     """
-    out = _retarget_body(profile._retarget, human.array.ravel().tolist(), qunit)
+    out = _retarget_body(profile._retarget, human.values, qunit)
     if not all(map(math.isfinite, out)):
         raise ValueError("non-finite mapped translation")
-    return _wrap(np.array(out, dtype=float).reshape(len(LINKS), 7))
+    return _links(tuple(out), None)
 
 
 def map_frames(profile: CalibrationProfile, poses: np.ndarray) -> np.ndarray:

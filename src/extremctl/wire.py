@@ -8,20 +8,22 @@ timestamp. Layout, little-endian throughout:
     right_hand, left_foot, right_foot): translation x,y,z f64, then
     quaternion w,x,y,z f64
 
-4 + 1 + 4 + 8 + 6*56 = 353 bytes. The 42 values are the LinkSet array in
-row order. Encoding is bit-exact: a decoded frame re-encodes to the
-identical bytes (link rotations are stored canonically, w >= 0, unit
-norm).
+4 + 1 + 4 + 8 + 6*56 = 353 bytes. The 42 values are the LinkSet's
+`values`, its array in row order; decode and encode read and write them
+without building the array. Encoding is bit-exact: a decoded frame
+re-encodes to the identical bytes (link rotations are stored
+canonically, w >= 0, unit norm).
 
 encode_frame and decode_frame handle one frame on plain floats, one
-struct pack or unpack each. They check the seq and timestamp ranges,
-each quaternion norm within QUAT_NORM_TOL of 1, finite translations, and
-on decode the length, magic and version.
+struct pack or unpack each. They check the seq and timestamp types and
+ranges, each quaternion norm within QUAT_NORM_TOL of 1, finite
+translations, and on decode the length, magic and version.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import struct
 import threading
 from dataclasses import dataclass
@@ -61,13 +63,32 @@ class PoseFrame:
     links: LinkSet
 
     def __post_init__(self) -> None:
-        if not (0 <= self.seq < 2**32):
-            raise ValueError(f"seq {self.seq} outside u32 range")
-        if not (0 <= self.timestamp_ns < 2**64):
-            raise ValueError(f"timestamp_ns {self.timestamp_ns} outside u64 range")
+        """Refuses a bool or a non-integer seq or timestamp_ns, naming the
+        field, and one outside its u32 or u64 range. Other integer types
+        (numpy's) are stored as int."""
+        seq, timestamp_ns = self.seq, self.timestamp_ns
+        if type(seq) is not int:
+            seq = self._integer("seq")
+        if type(timestamp_ns) is not int:
+            timestamp_ns = self._integer("timestamp_ns")
+        if not (0 <= seq < 2**32):
+            raise ValueError(f"seq {seq} outside u32 range")
+        if not (0 <= timestamp_ns < 2**64):
+            raise ValueError(f"timestamp_ns {timestamp_ns} outside u64 range")
+
+    def _integer(self, name: str) -> int:
+        value = getattr(self, name)
+        if isinstance(value, bool):
+            raise ValueError(f"{name} {value!r} must be an integer, not a bool")
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} {value!r} must be an integer") from None
+        object.__setattr__(self, name, value)
+        return value
 
 
-def _check_norms(values: list) -> None:
+def _check_norms(values) -> None:
     """Refuse a link quaternion whose norm is not within QUAT_NORM_TOL of 1.
     Written `not ... <= tol` so that a NaN norm is refused too."""
     for k in range(3, len(values), 7):
@@ -78,7 +99,7 @@ def _check_norms(values: list) -> None:
 
 
 def encode_frame(frame: PoseFrame) -> bytes:
-    values = frame.links.array.ravel().tolist()
+    values = frame.links.values
     _check_norms(values)
     if not all(map(math.isfinite, values)):
         link = next(LINKS[i // 7] for i, v in enumerate(values) if not math.isfinite(v))

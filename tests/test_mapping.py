@@ -19,6 +19,7 @@ from extremctl.mapping import (
     FrameRefused,
     LinkSet,
     RobotModel,
+    _wrap,
     calibrate,
     heading_anchor,
     map_frame,
@@ -577,6 +578,55 @@ def test_linkset_array_is_one_read_only_layout():
             links.array[0, 0] = 1.0
         with pytest.raises(AttributeError):
             links.array = np.zeros((6, 7))
+
+
+def test_relay_runs_on_values_and_matches_map_frames():
+    """The per-frame relay, decode -> map_frame -> encode, builds no array,
+    re-encodes bit-exact, and sends the map_frames row bit for bit."""
+    robot = make_robot()
+    rng = np.random.default_rng(43)
+    base = make_human(pelvis_z=0.96, hand_local=(0.55, 0.22, 0.28), foot_local=(0.02, 0.11, 0.015))
+    for _ in range(3):
+        neutral = random_neutral(rng, base)
+        prof = calibrate(neutral, robot)
+        frames = list(random_frames(rng, neutral, 40))
+        batch = map_frames(prof, validated_frames(np.stack([f.array for f in frames])))
+        for seq, (human, want) in enumerate(zip(frames, batch)):
+            buf = encode_frame(PoseFrame(seq=seq, timestamp_ns=seq * 8_333_333, links=human))
+            decoded = decode_frame(buf)
+            mapped = map_frame(prof, decoded.links)
+            out = encode_frame(PoseFrame(decoded.seq, decoded.timestamp_ns, mapped))
+            assert decoded.links._array is None and mapped._array is None
+            assert encode_frame(decode_frame(out)) == out
+            assert out[:17] == buf[:17]
+            assert out[17:] == want.astype("<f8").tobytes()
+
+
+def test_linkset_values_and_array_are_one_frame():
+    rng = np.random.default_rng(44)
+    links = make_links([(random_rotation(rng), rng.normal(size=3)) for _ in LINKS])
+    prof = calibrate(make_human(), make_robot())
+    wire = encode_frame(PoseFrame(seq=1, timestamp_ns=2, links=links))
+    builders = {
+        "from_array": lambda: LinkSet.from_array(links.array),
+        "from_dict": lambda: LinkSet.from_dict(json.loads(json.dumps(links.to_dict()))),
+        "decode_frame": lambda: decode_frame(wire).links,
+        "map_frame": lambda: map_frame(prof, links),
+        "_wrap": lambda: _wrap(np.array(links.array)),
+    }
+    for name, build in builders.items():
+        for values_first in (True, False):
+            got = build()
+            if values_first:
+                values, array = got.values, got.array
+            else:
+                array, values = got.array, got.values
+            assert type(values) is tuple, name
+            assert values == tuple(array.ravel().tolist()), name
+            assert array.shape == (len(LINKS), 7) and not array.flags.writeable, name
+            assert got.array is array and got.values is values, name
+        if name != "map_frame":
+            assert got.values == links.values, name
 
 
 def test_linkset_from_array_validates_like_the_constructors():

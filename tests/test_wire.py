@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_links
-from extremctl.mapping import LINKS, LinkSet
+from extremctl.mapping import LINKS, _wrap
 from extremctl.wire import (
     FRAME_SIZE,
     BadMagic,
@@ -87,6 +87,24 @@ def test_frame_field_ranges():
         PoseFrame(seq=2**32, timestamp_ns=0, links=links)
     with pytest.raises(ValueError):
         PoseFrame(seq=0, timestamp_ns=-1, links=links)
+    # A bool or a non-integer is refused by name, before it reaches struct.
+    for seq, timestamp_ns, name in (
+        (1.5, 0, "seq"),
+        (True, 0, "seq"),
+        (np.float64(2.0), 0, "seq"),
+        ("3", 0, "seq"),
+        (0, 2.0, "timestamp_ns"),
+        (0, False, "timestamp_ns"),
+        (0, np.True_, "timestamp_ns"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            PoseFrame(seq=seq, timestamp_ns=timestamp_ns, links=links)
+    # numpy integers pass through operator.index and are stored as int
+    frame = PoseFrame(seq=np.uint32(7), timestamp_ns=np.int64(9), links=links)
+    assert (type(frame.seq), type(frame.timestamp_ns)) == (int, int)
+    assert decode_frame(encode_frame(frame)).seq == 7
+    with pytest.raises(ValueError, match="outside u32"):
+        PoseFrame(seq=np.int64(2**32), timestamp_ns=0, links=links)
 
 
 def test_mailbox_empty_and_replace():
@@ -160,8 +178,7 @@ def test_encode_refuses_unchecked_non_finite_or_non_unit_array():
     ):
         a = frame.links.array.copy()
         a[row, col] = value
-        links = LinkSet.from_array(frame.links.array)
-        object.__setattr__(links, "array", a)
+        links = _wrap(a)  # the one constructor that skips validation
         with pytest.raises(error):
             encode_frame(PoseFrame(seq=0, timestamp_ns=0, links=links))
 
