@@ -13,6 +13,7 @@ null; `finite` and `finite_positive` take a real number or an array.
 from __future__ import annotations
 
 import math
+import operator
 from numbers import Real
 
 import numpy as np
@@ -58,6 +59,17 @@ def numbers(value, where: str, n: int | None = None) -> list:
         except ValueError:
             pass
     raise ValueError(f"{where} must be a list of {'' if n is None else f'{n} '}numbers")
+
+
+def integer(value, where: str) -> int:
+    """`value` as an int, if it is an integer and not a bool; numpy
+    integers pass through operator.index."""
+    if isinstance(value, bool):
+        raise ValueError(f"{where} {value!r} must be an integer, not a bool")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{where} {value!r} must be an integer") from None
 
 
 def _finite(value) -> bool:

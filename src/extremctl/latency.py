@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExtremControlError, finite, finite_positive
+from .errors import ExtremControlError, finite, finite_positive, integer
 
 
 class DimensionMismatch(ExtremControlError):
@@ -73,7 +73,10 @@ class MotionSignal:
 
 @dataclass(frozen=True)
 class RegionSpec:
-    """Axis-aligned pixel rectangle plus the motion direction to project on."""
+    """Axis-aligned pixel rectangle plus the motion direction to project on.
+
+    A bool or a non-integer x, y, w or h is refused, naming the field;
+    other integer types (numpy's) are stored as int."""
 
     x: int
     y: int
@@ -82,6 +85,10 @@ class RegionSpec:
     direction: np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("x", "y", "w", "h"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                object.__setattr__(self, name, integer(value, name))
         if self.w < 1 or self.h < 1:
             raise ValueError("region must be at least 1x1 pixels")
         d = np.asarray(self.direction, dtype=float)
@@ -98,10 +105,14 @@ class RegionSpec:
 
     @staticmethod
     def parse(text: str) -> "RegionSpec":
-        """Build from 'x,y,w,h,dx,dy' (the CLI flag format)."""
+        """Build from 'x,y,w,h,dx,dy' (the CLI flag format). The digit
+        separator '_', which int() and float() accept, is refused, as in
+        PGM headers."""
         parts = text.split(",")
         if len(parts) != 6:
             raise ValueError(f"expected x,y,w,h,dx,dy, got {text!r}")
+        if "_" in text:
+            raise ValueError(f"expected x,y,w,h,dx,dy as plain numbers, got '_' in {text!r}")
         x, y, w, h = (int(p) for p in parts[:4])
         return RegionSpec(x, y, w, h, np.array([float(parts[4]), float(parts[5])]))
 
@@ -189,72 +200,11 @@ def _window_sums(x: np.ndarray, k: int) -> np.ndarray:
         width *= 2
 
 
-def block_match_flow(
-    frame_a: np.ndarray,
-    frame_b: np.ndarray,
-    block: int = 8,
-    radius: int = 4,
-    texture_threshold: float = 1.0,
-) -> FlowField:
-    """Block displacement field from frame_a to frame_b.
-
-    Each block x block tile of frame_a is matched against frame_b over
-    displacements within +-radius by mean-removed sum of absolute
-    differences, so uniform brightness changes do not register as motion.
-    Ties prefer the smallest displacement (then smallest du, dv); tiles
-    whose mean absolute deviation falls at or below texture_threshold are
-    reported as zero flow. The winning displacement is painted across the
-    tile; border pixels not covered by a full tile stay zero. A
-    displacement is only tried where the displaced tile lies inside the
-    frame.
-
-    Kernel: with bb = block**2, the cost of displacement d = (dv, du) is
-    bb**2 times the mean absolute difference of the mean-removed tiles:
-    the sum over the tile pixels p of |x[p]|, x[p] = sa[p] + sb - pb[p + d],
-    where sa[p] = bb*a[p] - (tile sum of a), pb = bb*b and sb is the sum
-    of the frame-b tile at d. The x[p] of a tile sum to zero, so that cost
-    is 2*(sum of max(sa[p] + sb, pb[p + d]) - bb*sb), and the kernel
-    minimizes half of it: an add, a maximum and an accumulate per pixel
-    offset. It loops over the block's pixel columns; each step fills a
-    (block, nv, nu, n) slab with one column's terms for every pixel row,
-    displacement and searched tile, reading a polyphase copy of frame b
-    (one plane per pixel offset, the n searched tiles on the last axis),
-    and sums it over its rows into the costs. The frame-b tile sums at
-    every displacement are window sums of the padded frame, built by
-    doubling (windows of 1, 2, 4, ... rows, then columns).
-
-    Searched tiles: on integer frames, a tile whose a - b is one constant
-    is not searched and keeps d = 0 (zero-motion prejudgment with a
-    threshold of 0). That is exact: such a tile's mean-removed difference
-    at d = 0 is zero, so its cost there is 0; every exact integer cost is
-    at least 0, and d = 0 is first in the tie order, so the search would
-    pick d = 0 too. Only the remaining tiles get the polyphase copy, the
-    column loop, the validity mask and the argmin, so the cost of a pair
-    grows with the number of tiles that changed. Float frames search
-    every tile, since their costs may round.
-
-    Exactness and dtype: frames of integer dtype (what read_pgm returns)
-    are matched in exact integer arithmetic on pixels shifted by the
-    smallest pixel of either frame. With span the largest minus the
-    smallest pixel (at least 1), every term lies in [0, (2*bb - 1)*span],
-    and every set-up value within that bound in magnitude. Terms are int16
-    when the bound fits (8-bit frames up to block 8) and otherwise in the
-    accumulation dtype. Costs accumulate in int32 when bb*(2*bb - 1)*span
-    fits and in int64 otherwise. Every cost is then exact, and for
-    power-of-two blocks it equals bb**2 / 2 times the float64
-    per-displacement mean-removed SAD, so the same displacement wins.
-    Float frames, uint64 frames and integer frames whose bound overflows
-    int64 are matched in float64 by the same kernel, where near-equal
-    costs may round either way. The texture test is the float64 mean
-    absolute deviation of each tile; for integer frames and power-of-two
-    blocks every step of it is exact (all values below 2**53), so it is
-    read from the integer sum of |sa| instead. Frames holding NaN or inf
-    raise ValueError.
-    """
-    a = np.asarray(frame_a)
-    b = np.asarray(frame_b)
-    _check_match(a.shape, b.shape, block, radius)
-
+def _match_tiles(a: np.ndarray, b: np.ndarray, block: int, radius: int,
+                 texture_threshold: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """(dv, du): the (nby, nbx) integer tile displacements that
+    block_match_flow paints, for frames that pass _check_match. See
+    block_match_flow for the method."""
     h, w = a.shape
     nby, nbx = h // block, w // block
     h2, w2 = nby * block, nbx * block
@@ -283,11 +233,13 @@ def block_match_flow(
     else:
         term = np.int16 if _fits(term_bound, np.int16) else acc
 
-    wide = np.float64 if acc is np.float64 else np.int64
+    # lo in the term dtype. On integer frames it and the pixels are cast
+    # with wrap-around, which leaves every difference, in [0, span], exact.
+    lo_term = np.array(lo).astype(term)
 
     def shifted(img, out):
-        # img - lo, formed in int64 (float64) and stored in the term dtype
-        np.subtract(img, lo, out=out, dtype=wide, casting="unsafe")
+        # img - lo, in the term dtype
+        np.subtract(img, lo_term, out=out, dtype=term, casting="unsafe")
 
     # Frame a minus lo, and frame b minus lo zero-padded by the radius, so
     # that padded row i is frame row i - rv; the pad only feeds
@@ -298,7 +250,8 @@ def block_match_flow(
     rows, cols = min(h, h2 + rv), min(w, w2 + ru)
     shifted(b[:rows, :cols], pad[rv : rv + rows, ru : ru + cols])
 
-    # The searched tiles t = ty*nbx + tx (see "Searched tiles" above).
+    # The searched tiles t = ty*nbx + tx (see "Searched tiles" in
+    # block_match_flow).
     if acc is np.float64:
         tiles = np.arange(nby * nbx)
     else:
@@ -309,16 +262,13 @@ def block_match_flow(
     # With every tile searched, slices give that order without a gather.
     at = (..., slice(None), slice(None)) if n == nby * nbx else (..., *np.divmod(tiles, nbx))
 
-    def gathered(img, planes_y, planes_x, scale=1):
-        # out[qy, qx, t] = scale * img[ty*block + qy, tx*block + qx]
-        view = np.lib.stride_tricks.as_strided(
-            img,
-            shape=(planes_y, planes_x, nby, nbx),
-            strides=(img.strides[0], img.strides[1], block * img.strides[0], block * img.strides[1]),
-            writeable=False,
-        )[at]
+    def gathered(img, planes_y, planes_x):
+        # out[qy, qx, t] = img[ty*block + qy, tx*block + qx]
+        s = img.strides
+        view = np.ndarray((planes_y, planes_x, nby, nbx), term, img, 0,
+                          (s[0], s[1], block * s[0], block * s[1]))[at]
         out = np.empty((planes_y, planes_x, n), dtype=term)
-        np.multiply(view, scale, out=out.reshape(view.shape))
+        out.reshape(view.shape)[...] = view
         return out
 
     # sa[py, px, t] = bb * (a - lo)[ty*block + py, tx*block + px] - (tile sum)
@@ -326,11 +276,11 @@ def block_match_flow(
     tile_sums = sa.sum(axis=(0, 1), dtype=term)
     sa *= bb
     sa -= tile_sums
-    pb = gathered(pad, block + 2 * rv, block + 2 * ru, bb)
-    # Frame-b tile sums at every displacement: box[y, x] is the sum of
-    # pad[y : y + block, x : x + block].
-    box = _window_sums(_window_sums(pad, block).T, block).T
-    sb = gathered(box, nv, nu)
+    pb = gathered(pad, block + 2 * rv, block + 2 * ru)
+    # Frame-b tile sums at every displacement: sb[dv, du, t] is the sum of
+    # pb[dv : dv + block, du : du + block, t], taken before pb is scaled.
+    sb = _window_sums(_window_sums(pb, block).swapaxes(0, 1), block).swapaxes(0, 1)
+    pb *= bb
 
     # cost[dv, du, t] = sum over the tile of max(sa + sb, pb) - bb*sb
     cost = np.multiply(sb, -bb, dtype=acc)
@@ -338,14 +288,17 @@ def block_match_flow(
     rows_sum = np.empty_like(cost)
     # pb_px[px][py, dv, du, t] = pb[py + dv, px + du, t]
     s = pb.strides
-    pb_px = np.lib.stride_tricks.as_strided(
-        pb, shape=(block,) + slab.shape, strides=(s[1], s[0], s[0], s[1], s[2]), writeable=False
-    )
+    pb_px = np.ndarray((block,) + slab.shape, term, pb, 0, (s[1], s[0], s[0], s[1], s[2]))
+    # sa_du[py, 0, du, t] = sa[py, px, t], one column at a time: with every
+    # operand of the add contiguous over (du, t), its inner loops run over
+    # nu*n elements rather than n.
+    sa_du = np.empty((block, 1, nu, n), dtype=term)
     for px in range(block):
         # slab[py, dv, du, t] = max(sa[py, px, t] + sb[dv, du, t], pb[py + dv, px + du, t])
-        np.add(sa[:, px, None, None], sb, out=slab)
+        sa_du[...] = sa[:, px, None, None]
+        np.add(sa_du, sb, out=slab)
         np.maximum(slab, pb_px[px], out=slab)
-        cost += np.sum(slab, axis=0, dtype=acc, out=rows_sum)
+        cost += np.add.reduce(slab, axis=0, dtype=acc, out=rows_sum)
 
     # A displacement counts for a tile only if the displaced tile lies
     # inside the frame. Every cost is below bb*term_bound, so the dtype's
@@ -356,7 +309,7 @@ def block_match_flow(
     if exact_texture:  # the float64 test below, read from exact integer sums
         texture = np.abs(sa).sum(axis=(0, 1), dtype=np.int64) / bb**2
     else:
-        a_tiles = np.asarray(frame_a, dtype=float)[:h2, :w2].reshape(nby, block, nbx, block)
+        a_tiles = np.asarray(a, dtype=float)[:h2, :w2].reshape(nby, block, nbx, block)
         a_tiles = a_tiles.swapaxes(1, 2)
         texture = np.abs(a_tiles - a_tiles.mean(axis=(2, 3), keepdims=True)).mean(axis=(2, 3))
         texture = texture.ravel()[tiles]
@@ -364,13 +317,86 @@ def block_match_flow(
     best[texture <= texture_threshold] = 0
     winner = np.zeros(nby * nbx, dtype=best.dtype)
     winner[tiles] = best
-    dv_best = darr[winner, 0].reshape(nby, nbx).astype(float)
-    du_best = darr[winner, 1].reshape(nby, nbx).astype(float)
+    return darr[winner, 0].reshape(nby, nbx), darr[winner, 1].reshape(nby, nbx)
 
+
+def block_match_flow(
+    frame_a: np.ndarray,
+    frame_b: np.ndarray,
+    block: int = 8,
+    radius: int = 4,
+    texture_threshold: float = 1.0,
+) -> FlowField:
+    """Block displacement field from frame_a to frame_b.
+
+    Each block x block tile of frame_a is matched against frame_b over
+    displacements within +-radius by mean-removed sum of absolute
+    differences, so uniform brightness changes do not register as motion.
+    Ties prefer the smallest displacement (then smallest du, dv); tiles
+    whose mean absolute deviation falls at or below texture_threshold are
+    reported as zero flow. The winning displacement is painted across the
+    tile; border pixels not covered by a full tile stay zero. A
+    displacement is only tried where the displaced tile lies inside the
+    frame.
+
+    Kernel (_match_tiles, which returns the per-tile displacements this
+    function paints): with bb = block**2, the cost of displacement
+    d = (dv, du) is bb**2 times the mean absolute difference of the
+    mean-removed tiles: the sum over the tile pixels p of |x[p]|,
+    x[p] = sa[p] + sb - pb[p + d], where sa[p] = bb*a[p] - (tile sum of
+    a), pb = bb*b and sb is the sum of the frame-b tile at d. The x[p] of
+    a tile sum to zero, so that cost is 2*(sum of max(sa[p] + sb,
+    pb[p + d]) - bb*sb), and the kernel minimizes half of it: an add, a
+    maximum and an accumulate per pixel offset. It loops over the block's
+    pixel columns; each step fills a (block, nv, nu, n) slab with one
+    column's terms for every pixel row, displacement and searched tile,
+    reading a polyphase copy of frame b (one plane per pixel offset, the n
+    searched tiles on the last axis), and sums it over its rows into the
+    costs. The frame-b tile sums at every displacement are window sums of
+    those planes before they are scaled by bb, built by doubling (windows
+    of 1, 2, 4, ... rows, then columns), so they cover the searched tiles
+    only.
+
+    Searched tiles: on integer frames, a tile whose a - b is one constant
+    is not searched and keeps d = 0 (zero-motion prejudgment with a
+    threshold of 0). That is exact: such a tile's mean-removed difference
+    at d = 0 is zero, so its cost there is 0; every exact integer cost is
+    at least 0, and d = 0 is first in the tie order, so the search would
+    pick d = 0 too. Only the remaining tiles get the polyphase copy, the
+    tile sums, the column loop, the validity mask and the argmin, so the
+    cost of a pair grows with the number of tiles that changed. Float
+    frames search every tile, since their costs may round.
+
+    Exactness and dtype: frames of integer dtype (what read_pgm returns)
+    are matched in exact integer arithmetic on pixels shifted by the
+    smallest pixel of either frame. With span the largest minus the
+    smallest pixel (at least 1), every term lies in [0, (2*bb - 1)*span],
+    and every set-up value within that bound in magnitude. Terms are int16
+    when the bound fits (8-bit frames up to block 8) and otherwise in the
+    accumulation dtype. Costs accumulate in int32 when bb*(2*bb - 1)*span
+    fits and in int64 otherwise. Every cost is then exact, and for
+    power-of-two blocks it equals bb**2 / 2 times the float64
+    per-displacement mean-removed SAD, so the same displacement wins.
+    Float frames, uint64 frames and integer frames whose bound overflows
+    int64 are matched in float64 by the same kernel, where near-equal
+    costs may round either way. The texture test is the float64 mean
+    absolute deviation of each tile; for integer frames and power-of-two
+    blocks every step of it is exact (all values below 2**53), so it is
+    read from the integer sum of |sa| instead. Frames holding NaN or inf
+    raise ValueError.
+    """
+    a = np.asarray(frame_a)
+    b = np.asarray(frame_b)
+    _check_match(a.shape, b.shape, block, radius)
+    dv, du = _match_tiles(a, b, block, radius, texture_threshold)
+
+    h, w = a.shape
+    nby, nbx = dv.shape
+    h2, w2 = nby * block, nbx * block
     u = np.zeros((h, w))
     v = np.zeros((h, w))
-    u[:h2, :w2].reshape(nby, block, nbx, block)[...] = du_best[:, None, :, None]
-    v[:h2, :w2].reshape(nby, block, nbx, block)[...] = dv_best[:, None, :, None]
+    u[:h2, :w2].reshape(nby, block, nbx, block)[...] = du[:, None, :, None]
+    v[:h2, :w2].reshape(nby, block, nbx, block)[...] = dv[:, None, :, None]
     return FlowField(u=u, v=v)
 
 
@@ -591,30 +617,48 @@ class LatencyReport:
 def flow_signal(flows, region: RegionSpec, fps: float, t0: float = 0.0) -> MotionSignal:
     """Project a sequence of flow fields through one region into a signal.
 
-    Fields are projected as they arrive. From a lazy source, a field is
-    released once the next one is built, so at most two are alive.
-    Releasing it before the next is built would save one field, but then
-    the allocator returns block_match_flow's temporaries to the system and
-    faults them in again on most pairs: on two 121-frame 160x120 views,
-    the first analyze_pair of a process takes 21.9k minor page faults,
-    against 5.5k as written and 18.1k when every field is held."""
+    Fields are projected as they arrive: from a lazy source, at most two
+    are alive at once."""
     values = [project_region(f, region) for f in flows]
     return MotionSignal(np.asarray(values), fps, t0)
 
 
-def _frame_flows(frames, block: int, radius: int):
-    """(frame shape, lazy consecutive-pair flows) of a frame sequence.
+def _frame_samples(frames, region: RegionSpec, block: int, radius: int):
+    """Lazy region samples of a frame sequence, one per consecutive pair.
 
-    Every refusal of block_match_flow, and fewer than 2 frames, is raised
-    here, before any pair is matched. The generator matches one pair per
-    flow asked of it and keeps no flow."""
+    Every refusal of block_match_flow, fewer than 2 frames, and then a
+    region outside the frames, is raised here, before any pair is matched.
+    Each sample is project_region(block_match_flow(a, b, block, radius),
+    region) bit for bit, taken from the tile displacements without
+    painting a field. Every painted value is a small integer and border
+    pixels are 0, so the sum over the region is the sum over tiles of d
+    times the tile's pixel overlap with the region: an integer below
+    2**53, which np.mean also sums exactly, and both divide it once by
+    the region's pixel count."""
     frames = list(frames)
     if len(frames) < 2:
         raise ValueError("need at least 2 frames")
     for a, b in zip(frames, frames[1:]):
         _check_match(np.shape(a), np.shape(b), block, radius)
-    flows = (block_match_flow(a, b, block, radius) for a, b in zip(frames, frames[1:]))
-    return np.shape(frames[0]), flows
+    h, w = np.shape(frames[0])
+    _check_region(region, (h, w))
+
+    def overlap(start: int, size: int, tiles: int) -> np.ndarray:
+        # pixels of [start, start + size) inside each tile along one axis
+        edge = np.arange(tiles) * block
+        return np.clip(np.minimum(edge + block, start + size) - np.maximum(edge, start), 0, None)
+
+    weights = np.outer(overlap(region.y, region.h, h // block),
+                       overlap(region.x, region.w, w // block))
+    area = region.w * region.h
+    dir_x, dir_y = region.direction
+
+    def samples():
+        for a, b in zip(frames, frames[1:]):
+            dv, du = _match_tiles(np.asarray(a), np.asarray(b), block, radius)
+            yield int((du * weights).sum()) / area * dir_x + int((dv * weights).sum()) / area * dir_y
+
+    return samples()
 
 
 def analyze_pair(
@@ -635,18 +679,19 @@ def analyze_pair(
     quasi-periodic motion gives the correlation a clear phase structure to
     lock onto.
 
-    Frame and flow sources stream: each consecutive frame pair is matched
-    and projected through the region, and its flow is dropped when the
-    next one is built (see flow_signal). At most two flow fields are alive
-    at once, so memory does not grow with the number of frames beyond the
-    frames themselves, which are held as read. Both sides are checked
-    before either is matched: a missing region or fps, an empty source,
-    fewer than 2 frames, every refusal block_match_flow would give for the
-    frames, and a region outside the first frame or flow.
+    Frame and flow sources stream. Each consecutive frame pair is matched
+    and projected through the region straight from its tile displacements
+    (see _frame_samples), so no flow field is built for frame input; flow
+    fields are projected as they arrive, as in flow_signal. Memory does
+    not grow with the number of frames beyond the frames themselves, which
+    are held as read. Both sides are checked before either is matched: a
+    missing region or fps, an empty source, fewer than 2 frames, every
+    refusal block_match_flow would give for the frames, and a region
+    outside the first frame or flow.
     """
 
     def checked(source, region: RegionSpec | None):
-        """(kind, signal or lazy flows), every refusal above raised here."""
+        """(kind, signal or lazy samples), every refusal above raised here."""
         if isinstance(source, MotionSignal):
             return "signals", source
         items = iter(source)
@@ -659,16 +704,16 @@ def analyze_pair(
             if region is None or fps is None:
                 raise ValueError("flow input needs region and fps")
             _check_region(region, first.shape)
-            return "flows", source
+            return "flows", (project_region(f, region) for f in source)
         if region is None or fps is None:
             raise ValueError("frame input needs region and fps")
-        shape, flows = _frame_flows(source, block, radius)
-        _check_region(region, shape)
-        return "frames", flows
+        return "frames", _frame_samples(source, region, block, radius)
+
+    def signal(kind: str, samples) -> MotionSignal:
+        return samples if kind == "signals" else MotionSignal(np.fromiter(samples, float), fps)
 
     (kind_a, a), (kind_b, b) = checked(source_a, region_a), checked(source_b, region_b)
-    sig_a = a if kind_a == "signals" else flow_signal(a, region_a, fps)
-    sig_b = b if kind_b == "signals" else flow_signal(b, region_b, fps)
+    sig_a, sig_b = signal(kind_a, a), signal(kind_b, b)
     estimate = estimate_lag(sig_a, sig_b, max_lag_s=max_lag_s)
     return LatencyReport(
         signal_a=standardize(sig_a),

@@ -23,12 +23,11 @@ translations, and on decode the length, magic and version.
 from __future__ import annotations
 
 import math
-import operator
 import struct
 import threading
 from dataclasses import dataclass
 
-from .errors import ExtremControlError
+from .errors import ExtremControlError, integer
 from .mapping import LINKS, LinkSet, _validated
 
 MAGIC = b"XCTL"
@@ -68,24 +67,15 @@ class PoseFrame:
         (numpy's) are stored as int."""
         seq, timestamp_ns = self.seq, self.timestamp_ns
         if type(seq) is not int:
-            seq = self._integer("seq")
+            seq = integer(seq, "seq")
+            object.__setattr__(self, "seq", seq)
         if type(timestamp_ns) is not int:
-            timestamp_ns = self._integer("timestamp_ns")
+            timestamp_ns = integer(timestamp_ns, "timestamp_ns")
+            object.__setattr__(self, "timestamp_ns", timestamp_ns)
         if not (0 <= seq < 2**32):
             raise ValueError(f"seq {seq} outside u32 range")
         if not (0 <= timestamp_ns < 2**64):
             raise ValueError(f"timestamp_ns {timestamp_ns} outside u64 range")
-
-    def _integer(self, name: str) -> int:
-        value = getattr(self, name)
-        if isinstance(value, bool):
-            raise ValueError(f"{name} {value!r} must be an integer, not a bool")
-        try:
-            value = operator.index(value)
-        except TypeError:
-            raise ValueError(f"{name} {value!r} must be an integer") from None
-        object.__setattr__(self, name, value)
-        return value
 
 
 def _check_norms(values) -> None:

@@ -60,12 +60,13 @@ def make_links(poses):
 
 def random_links(rng):
     """Six random poses: per link a normalized Gaussian quaternion, then
-    a Gaussian translation."""
-    poses = []
-    for _ in range(6):
-        q = rng.normal(size=4)
-        poses.append((q / np.linalg.norm(q), rng.normal(size=3)))
-    return make_links(poses)
+    a Gaussian translation, drawn as one (6, 7) block in that order."""
+    from extremctl.mapping import LinkSet
+
+    draws = rng.normal(size=(6, 7))
+    for row in draws:
+        row[:4] /= math.sqrt(row[:4].dot(row[:4]))
+    return LinkSet.from_array(np.concatenate((draws[:, 4:], draws[:, :4]), axis=1))
 
 
 def quat_angle(q):

@@ -980,6 +980,7 @@ def test_latency_refuses_bad_max_lag_naming_value(tmp_path, capsys):
     ("--region-a", "0,0,16,16,nan,0", "--region-a: direction"),
     ("--region-b", "0,0,16,16,inf,0", "--region-b: direction"),
     ("--region-b", "0,0,16,16,1", "--region-b: expected x,y,w,h,dx,dy"),
+    ("--region-a", "0,0,1_6,16,1,0", "--region-a: expected x,y,w,h,dx,dy as plain numbers"),
     ("--region-b", None, "--region-b is required"),
     # used to read every frame, then stop naming no flag
     ("--fps", None, "--fps is required with --frames-a"),
@@ -991,7 +992,7 @@ def test_latency_checks_flags_before_matching(tmp_path, capsys, monkeypatch, fla
     def no_matching(*args, **kwargs):
         raise AssertionError("frames read or block-matched before the flags were checked")
 
-    monkeypatch.setattr(latency, "block_match_flow", no_matching)
+    monkeypatch.setattr(latency, "_match_tiles", no_matching)
     monkeypatch.setattr(fileio, "read_frame_dir", no_matching)
     rng = np.random.default_rng(4)
     for view in ("a", "b"):
@@ -1032,8 +1033,8 @@ def test_latency_checks_frames_before_matching(tmp_path, capsys, monkeypatch, ba
     from extremctl import latency
 
     calls = []
-    real = latency.block_match_flow
-    monkeypatch.setattr(latency, "block_match_flow",
+    real = latency._match_tiles
+    monkeypatch.setattr(latency, "_match_tiles",
                         lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
     _write_views(tmp_path)
     region_b, extra = "0,0,16,16,1,0", []
@@ -1065,6 +1066,49 @@ def test_latency_truncated_frame_exits_one_naming_file(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err) == {
         "error": "ValueError", "message": f"{bad}: truncated PGM pixel data"}
     assert not (tmp_path / "lag.json").exists()
+
+
+# sha256 of the `extremctl latency` JSON on benchmark-sized views, by
+# seed; computed with Python 3.11.7 and numpy 2.4.6 on x86-64 Linux.
+LATENCY_DIGESTS = {
+    1: "728ec567123515ef31218d219af4afc8fcb2f535468bc1db3e1bf71f439d488e",
+    2: "bf9c28b9e145271bed211d992375cf960610020689869380ed6968d1940de82a",
+    3: "476c6267e223d289a82c73aece9da03231d6b808791ab0cd0b63c7d80e28446b",
+    11: "8c909183a27fabfbab47afd0b6736abd8062007a145d46dc75b68e7793a00c3b",
+}
+
+
+def test_latency_json_digests(tmp_path):
+    """The latency report is byte-stable: on two 121-frame 160x120 views of
+    a bright disc reciprocating over static clutter, the second 3 frames
+    behind (the views the benchmark's video_latency workload renders), its
+    JSON has the pinned sha256 at each seed. The digests were taken with
+    Python 3.11.7 and numpy 2.4.6 on x86-64 Linux; another float
+    formatting or libm may change them. A mismatch shows every digest."""
+    import hashlib
+    import math
+
+    fps, n_frames, (h, w) = 60.0, 121, (120, 160)
+    yy, xx = np.mgrid[0:h, 0:w]
+    got = {}
+    for seed in LATENCY_DIGESTS:
+        rng = np.random.default_rng([seed, 4])
+        freq, amp, phase = rng.uniform(0.6, 0.8), rng.uniform(0.2, 0.25) * w, rng.uniform(0, 2 * math.pi)
+        for view, delay in (("a", 0), ("b", 3)):
+            d = tmp_path / f"{seed}_{view}"
+            d.mkdir()
+            background = rng.uniform(30.0, 60.0, (h, w))
+            for k in range(n_frames):
+                cx = w / 2 + amp * math.sin(2 * math.pi * freq * (k - delay) / fps + phase)
+                disc = np.clip(200.0 - 1.5 * ((xx - cx) ** 2 + (yy - h / 2) ** 2), 0.0, None)
+                fileio.write_pgm(str(d / f"f{k:04d}.pgm"), np.clip(np.rint(background + disc), 0, 255))
+        out = tmp_path / f"{seed}.json"
+        region = f"0,0,{w},{h},1,0"
+        assert main(["latency", "--frames-a", str(tmp_path / f"{seed}_a"),
+                     "--frames-b", str(tmp_path / f"{seed}_b"), "--fps", "60",
+                     "--region-a", region, "--region-b", region, "--out", str(out)]) == 0
+        got[seed] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == LATENCY_DIGESTS, f"latency JSON sha256 by seed: {got}"
 
 
 def test_latency_flows_equal_frames(tmp_path, capsys):

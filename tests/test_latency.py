@@ -393,6 +393,63 @@ def test_region_parse():
     for text in ("0,0,4,4,nan,0", "0,0,4,4,inf,0", "0,0,4,4,1,-inf"):
         with pytest.raises(ValueError, match="must be finite"):
             RegionSpec.parse(text)
+    # int() and float() read '_' as a digit separator: 1_6 would run as 16
+    for text in ("0,0,1_6,12,1_0,0", "1_0,0,4,4,1,0", "0,0,4,4,1,0_5"):
+        with pytest.raises(ValueError, match=re.escape(f"got '_' in {text!r}")):
+            RegionSpec.parse(text)
+
+
+def test_region_fields_are_integers():
+    """A bool or a non-integer x, y, w or h is refused by name, before it
+    can reach a slice or the tile overlaps; numpy integers are stored as
+    int."""
+    direction = (1.0, 0.0)
+    for fields, name in (
+        ((1.5, 0, 8, 8), "x"),
+        ((True, 0, 8, 8), "x"),
+        ((0, np.float64(2.0), 8, 8), "y"),
+        ((0, 0, 8.0, 8), "w"),
+        ((0, 0, 8, "8"), "h"),
+        ((0, 0, 8, np.True_), "h"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} .* must be an integer"):
+            RegionSpec(*fields, direction)
+    region = RegionSpec(np.int64(1), np.uint8(2), np.int32(8), 8, direction)
+    assert [(v, type(v)) for v in (region.x, region.y, region.w, region.h)] == [
+        (1, int), (2, int), (8, int), (8, int)]
+    flow = FlowField(u=np.ones((10, 9)), v=np.zeros((10, 9)))
+    assert project_region(flow, region) == 1.0
+
+
+def test_frame_samples_equal_projected_flow(hypothesis_settings):
+    """Frame input is projected from the tile displacements, without a
+    field: each sample equals project_region(block_match_flow(a, b),
+    region) bit for bit. Frames that are not a multiple of the block (so
+    border pixels hold 0), regions cutting tiles and reaching into the
+    border, blocks 4-9, and uint8, uint16 and float64 frames."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from extremctl import latency
+
+    st = hypothesis.strategies
+
+    @hypothesis_settings(200)
+    @hypothesis.given(_frame_pair_cases(st, [4, 5, 6, 7, 8, 9]), st.data())
+    def check(case, data):
+        a, b, block, radius, _, maxval = case
+        h, w = a.shape
+        x, y = data.draw(st.integers(0, w - 1)), data.draw(st.integers(0, h - 1))
+        rw, rh = data.draw(st.integers(1, w - x)), data.draw(st.integers(1, h - y))
+        direction = data.draw(st.sampled_from([(1.0, 0.0), (0.0, -1.0), (0.6, -0.8), (-3.0, 7.0)]))
+        region = RegionSpec(x, y, rw, rh, direction)
+        dtypes = [np.uint16, np.float64] + ([np.uint8] if maxval <= 255 else [])
+        for dtype in dtypes:
+            frames = [a.astype(dtype), b.astype(dtype), a.astype(dtype)]
+            got = list(latency._frame_samples(frames, region, block, radius))
+            want = [project_region(block_match_flow(f, g, block, radius), region)
+                    for f, g in zip(frames, frames[1:])]
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (dtype, got, want)
+
+    check()
 
 
 # ----------------------------------------------------------- standardization
@@ -762,12 +819,13 @@ def test_analyze_pair_refuses_before_matching(monkeypatch):
     either side is matched, with the message the matcher would give."""
     from extremctl import latency
 
-    calls = []
-    real = latency.block_match_flow
-    monkeypatch.setattr(latency, "block_match_flow",
-                        lambda a, *args, **kwargs: calls.append(a) or real(a, *args, **kwargs))
     fps, region = 30.0, RegionSpec(0, 0, 32, 32, (1.0, 0.0))
     good = render_bar(40, fps, 0.0)
+    flows = [block_match_flow(a, b, 8, 4) for a, b in zip(good, good[1:3])]
+    calls = []
+    real = latency._match_tiles
+    monkeypatch.setattr(latency, "_match_tiles",
+                        lambda a, *args, **kwargs: calls.append(a) or real(a, *args, **kwargs))
     odd = good[:30] + [np.zeros((16, 32))] + good[31:]
     outside = RegionSpec(0, 0, 33, 32, (1.0, 0.0))
     cases = [
@@ -791,12 +849,12 @@ def test_analyze_pair_refuses_before_matching(monkeypatch):
         with pytest.raises(ValueError, match=re.escape(text)):
             analyze_pair(good, good, region_a=region, region_b=outside, fps=fps, **kwargs)
         assert calls == [], text
-    flows = [real(a, b, 8, 4) for a, b in zip(good, good[1:3])]
     with pytest.raises(OutOfBounds, match=re.escape("outside 32x32 flow")):
         analyze_pair(good, iter(flows), region_a=region, region_b=outside, fps=fps)
     assert calls == []
     # The empty call lists above mean something only while analyze_pair
-    # matches through this name: once per consecutive pair of each side.
+    # matches through this name, the kernel that block_match_flow paints
+    # from: once per consecutive pair of each side.
     other = render_bar(36, fps, 3.0 / fps)
     analyze_pair(good, other, region_a=region, region_b=region, fps=fps)
     assert len(calls) == (len(good) - 1) + (len(other) - 1)
