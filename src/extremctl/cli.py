@@ -10,7 +10,9 @@ simulate, delay-curve, latency, pipeline. Conventions shared by all:
   commands bit-reproducible; rerunning with identical inputs rewrites the
   primary outputs byte for byte.
 * Wall-clock metadata lives next to each output in <out>.meta.json, never
-  inside the primary file.
+  inside the primary file. Each handler writes its primary output and
+  returns its sidecar parameters; main writes the sidecar after the
+  handler returns, so only a run that succeeded has one.
 * CSV columns carry units in their headers; readers only rely on column
   order.
 
@@ -58,17 +60,9 @@ from .plant import (
 )
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _write_meta(out_path: str, command: str, resolved: dict) -> None:
-    meta = {
-        "command": command,
-        "created_unix_ns": time.time_ns(),
-        "parameters": resolved,
-    }
-    fileio.dump_json(str(out_path) + ".meta.json", meta)
+def _write_meta(out_path: str, command: str, parameters: dict) -> None:
+    meta = {"command": command, "created_unix_ns": time.time_ns(), "parameters": parameters}
+    fileio.dump_json(f"{out_path}.meta.json", meta)
 
 
 def _load_object(path) -> dict:
@@ -171,19 +165,16 @@ def _parse_reference(text: str):
     return lambda t: (values[0] * t, values[0])
 
 
-def _cmd_calibrate_map(args: argparse.Namespace) -> int:
-    m = _Merged(args)
+def _cmd_calibrate_map(m: _Merged, out: str) -> dict:
     neutral_path, robot_path = m.required("neutral"), m.required("robot")
     neutral = LinkSet.from_dict(_load_object(neutral_path))
     robot = RobotModel.from_dict(_load_object(robot_path))
     profile = calibrate(neutral, robot)
-    fileio.dump_json(args.out, profile.to_dict())
-    _write_meta(args.out, "calibrate-map", {"neutral": neutral_path, "robot": robot_path})
-    return 0
+    fileio.dump_json(out, profile.to_dict())
+    return {"neutral": neutral_path, "robot": robot_path}
 
 
-def _cmd_map(args: argparse.Namespace) -> int:
-    m = _Merged(args)
+def _cmd_map(m: _Merged, out: str) -> dict:
     profile_path, path = m.required("profile"), m.required("frames")
     profile = CalibrationProfile.from_dict(_load_object(profile_path))
     stream = fileio.read_linkset_jsonl(path)
@@ -192,13 +183,11 @@ def _cmd_map(args: argparse.Namespace) -> int:
         mapped = map_frames(profile, stream.poses)
     except FrameRefused as exc:
         raise ValueError(f"{path} line {stream.lines[exc.index]}: {exc}") from None
-    fileio.write_linkset_jsonl(args.out, stream.stamps, mapped)
-    _write_meta(args.out, "map", {"profile": profile_path, "frames": path})
-    return 0
+    fileio.write_linkset_jsonl(out, stream.stamps, mapped)
+    return {"profile": profile_path, "frames": path}
 
 
-def _cmd_calibrate_gains(args: argparse.Namespace) -> int:
-    m = _Merged(args)
+def _cmd_calibrate_gains(m: _Merged, out: str) -> dict:
     seed = m.seed()
     plant_path = m.required("plant")
     plant = plant_from_dict(_load_object(plant_path))
@@ -212,9 +201,8 @@ def _cmd_calibrate_gains(args: argparse.Namespace) -> int:
         convergence_tol=m.get("tol", 0.02, float),
     )
     result = calibrate_chain(plant, config, seed=seed)
-    fileio.dump_json(args.out, result.to_dict())
-    _write_meta(args.out, "calibrate-gains", {"plant": plant_path, "seed": seed})
-    return 0
+    fileio.dump_json(out, result.to_dict())
+    return {"plant": plant_path, "seed": seed}
 
 
 def _load_gains(path) -> GainSchedule:
@@ -225,8 +213,7 @@ def _load_gains(path) -> GainSchedule:
     return GainSchedule.from_dict(d)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    m = _Merged(args)
+def _cmd_simulate(m: _Merged, out: str) -> dict:
     plant_path, gains_path = m.required("plant"), m.required("gains")
     reference = _parse_reference(m.get("ref", "sin:0.3,3.14"))
     plant = plant_from_dict(_load_object(plant_path))
@@ -238,23 +225,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         duration=m.get("duration", 10.0, float),
         control_dt=m.get("control-dt", 0.02, float),
     )
-    n = record.n_joints
-    with open(args.out, "w", newline="") as f:
-        cols = ["t_s"]
-        for j in range(n):
-            cols += [f"q_target_rad_j{j}", f"q_measured_rad_j{j}"]
-        f.write(",".join(cols) + "\n")
-        for k in range(record.t.size):
-            row = [_fmt(record.t[k])]
-            for j in range(n):
-                row += [_fmt(record.q_target_held[k, j]), _fmt(record.q[k, j])]
-            f.write(",".join(row) + "\n")
-    _write_meta(args.out, "simulate", {"plant": plant_path, "gains": gains_path})
-    return 0
+    header, columns = ["t_s"], [record.t]
+    for j in range(record.n_joints):
+        header += [f"q_target_rad_j{j}", f"q_measured_rad_j{j}"]
+        columns += [record.q_target_held[:, j], record.q[:, j]]
+    fileio.write_csv(out, header, columns)
+    return {"plant": plant_path, "gains": gains_path}
 
 
-def _cmd_delay_curve(args: argparse.Namespace) -> int:
-    m = _Merged(args)
+def _cmd_delay_curve(m: _Merged, out: str) -> dict:
     etas = _parse_etas(m.get("etas", "0,0.2,0.4,0.6,0.8,0.9"))
     omega_n = m.get("omega-n", 10.0, float)
     points = simulate_delay_curve(
@@ -264,19 +243,12 @@ def _cmd_delay_curve(args: argparse.Namespace) -> int:
         wave_omega=m.get("wave-omega", 3.14, float),
         duration=m.get("duration", 12.0, float),
     )
-    with open(args.out, "w", newline="") as f:
-        f.write("eta,theory_delay_ms,measured_delay_ms,confidence\n")
-        for p in points:
-            f.write(
-                f"{_fmt(p.eta)},{_fmt(p.theory_s * 1e3)},"
-                f"{_fmt(p.measured_s * 1e3)},{_fmt(p.confidence)}\n"
-            )
-    _write_meta(args.out, "delay-curve", {"etas": etas, "omega_n": omega_n})
-    return 0
+    table = np.array([[p.eta, p.theory_s * 1e3, p.measured_s * 1e3, p.confidence] for p in points])
+    fileio.write_csv(out, ["eta", "theory_delay_ms", "measured_delay_ms", "confidence"], table.T)
+    return {"etas": etas, "omega_n": omega_n}
 
 
-def _cmd_latency(args: argparse.Namespace) -> int:
-    m = _Merged(args)
+def _cmd_latency(m: _Merged, out: str) -> dict:
     fps = m.get("fps", None, float)
     if fps is not None:
         finite_positive(fps, "--fps: rate", unit="Hz")
@@ -320,13 +292,11 @@ def _cmd_latency(args: argparse.Namespace) -> int:
         block=block,
         radius=radius,
     )
-    fileio.dump_json(args.out, report.to_dict())
-    _write_meta(args.out, "latency", {"fps": fps, "max_lag_s": max_lag})
-    return 0
+    fileio.dump_json(out, report.to_dict())
+    return {"fps": fps, "max_lag_s": max_lag}
 
 
-def _cmd_pipeline(args: argparse.Namespace) -> int:
-    m = _Merged(args)
+def _cmd_pipeline(m: _Merged, out: str) -> dict:
     fields = {k: v for k, v in m.config.items() if k in PipelineConfig.__dataclass_fields__}
     fields["seed"] = m.seed()
     duration = m.get("duration", None, float)
@@ -338,19 +308,19 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         config = replace(config, eta=eta)
 
     sweep = m.get("eta-sweep")
-    out: dict = {"config": config.to_dict()}
+    report: dict = {"config": config.to_dict()}
     if sweep is not None:
         etas = _parse_etas(sweep, "--eta-sweep")
         budgets = [latency_budget(r) for r in run_pipeline_sweep(config, etas)]
-        out["budgets"] = [b.to_dict() for b in budgets]
+        report["budgets"] = [b.to_dict() for b in budgets]
         if len(budgets) >= 3:
             fit = fit_latency_line(
                 [b.control_ms for b in budgets], [b.overall_ms for b in budgets]
             )
-            out["fit"] = fit.to_dict()
+            report["fit"] = fit.to_dict()
     else:
         record = run_pipeline(config)
-        out["budget"] = latency_budget(record).to_dict()
+        report["budget"] = latency_budget(record).to_dict()
         signals_out = m.get("signals-out")
         if signals_out is not None:
             rate = config.lowlevel_rate_hz
@@ -364,9 +334,8 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
                 MotionSignal(record.q, rate),
                 value_header="q_rad",
             )
-    fileio.dump_json(args.out, out)
-    _write_meta(args.out, "pipeline", {"seed": config.seed})
-    return 0
+    fileio.dump_json(out, report)
+    return {"seed": config.seed}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,12 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, needs_out: bool = True) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON file of defaults; explicit flags win")
         p.add_argument("--seed", type=int, help="RNG seed (also EXTREMCTL_SEED)")
-        if needs_out:
-            p.add_argument("--out", required=True, help="primary output path")
+        p.add_argument("--out", required=True, help="primary output path")
         return p
 
     p = add("calibrate-map", "one-shot retarget calibration from a neutral pose")
@@ -455,12 +423,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return _HANDLERS[args.command](args)
+        parameters = _HANDLERS[args.command](_Merged(args), args.out)
+        _write_meta(args.out, args.command, parameters)  # after the primary output, on success only
     except (ExtremControlError, ValueError, KeyError, OSError, MemoryError) as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True) + "\n"
         )
         return 1
+    return 0
 
 
 if __name__ == "__main__":

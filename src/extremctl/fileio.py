@@ -1,5 +1,6 @@
-"""File formats used by the CLI: PGM frames, XFLW flow fields, CSV signals,
-JSONL pose streams, and deterministic JSON.
+"""File formats used by the CLI: PGM frames, XFLW flow fields, CSV tables
+(signals, episodes, delay curves), JSONL pose streams, and deterministic
+JSON.
 
 XFLW is a raw little-endian flow container: 16-byte header (magic "XFLW",
 width u32, height u32, reserved u32 = 0) followed by the full u plane then
@@ -56,10 +57,13 @@ def read_flow(path) -> FlowField:
 
 
 def write_pgm(path, image: np.ndarray) -> None:
-    """Binary 8-bit PGM (P5)."""
+    """Binary 8-bit PGM (P5); pixels are rounded and clipped to [0, 255],
+    and a non-finite pixel is refused naming the file."""
     img = np.asarray(image)
     if img.ndim != 2:
         raise ValueError("image must be 2-d")
+    if not np.isfinite(img).all():
+        raise ValueError(f"{path}: non-finite pixel; PGM has no such value")
     img = np.clip(np.rint(img), 0, 255).astype(np.uint8)
     h, w = img.shape
     with open(path, "wb") as f:
@@ -132,11 +136,27 @@ def iter_flow_dir(path) -> Iterator[FlowField]:
     return map(read_flow, files)
 
 
-def write_signal_csv(path, signal: MotionSignal, value_header: str = "value") -> None:
+_CSV_CHUNK_ROWS = 256
+
+
+def write_csv(path, header, columns) -> None:
+    """A header row, then one row per index of equal-length columns, each
+    value as repr(float) writes it. Rows are formatted a fixed-size chunk
+    at a time, so a long table is never held as one list of strings."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    n = len(columns[0]) if columns else 0
+    if len(header) != len(columns) or any(c.shape != (n,) for c in columns):
+        raise ValueError(f"{len(header)} headers for columns of shapes {[c.shape for c in columns]}")
+    row = ",".join(["%r"] * len(columns)) + "\n"
     with open(path, "w", newline="") as f:
-        f.write(f"t_s,{value_header}\n")
-        for t, v in zip(signal.t, signal.samples):
-            f.write(f"{repr(float(t))},{repr(float(v))}\n")
+        f.write(",".join(header) + "\n")
+        for start in range(0, n, _CSV_CHUNK_ROWS):
+            chunk = [c[start : start + _CSV_CHUNK_ROWS].tolist() for c in columns]
+            f.write("".join(row % values for values in zip(*chunk)))
+
+
+def write_signal_csv(path, signal: MotionSignal, value_header: str = "value") -> None:
+    write_csv(path, ["t_s", value_header], [signal.t, signal.samples])
 
 
 def read_signal_csv(path) -> MotionSignal:

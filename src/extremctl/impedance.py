@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ExtremControlError, finite, finite_positive
+from .errors import ExtremControlError, finite, finite_positive, integer
 from .plant import GainSchedule, PlantModel, PlanarChain, NumericalBlowup, QDOT_BLOWUP
 
 TWO_PI = 2.0 * np.pi
@@ -58,10 +58,11 @@ class CalibrationConfig:
             finite_positive(getattr(self, name), name)
         if finite(self.zeta, "zeta") < 0:
             raise ValueError(f"zeta {self.zeta} must be non-negative")
-        if self.n_envs < 2:
-            raise ValueError(f"n_envs {self.n_envs} must be at least 2")
-        if self.sweeps < 1:
-            raise ValueError(f"sweeps {self.sweeps} must be at least 1")
+        for name, least in (("n_envs", 2), ("sweeps", 1)):
+            value = integer(getattr(self, name), name)  # a numpy integer is stored as int
+            if value < least:
+                raise ValueError(f"{name} {value} must be at least {least}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass

@@ -454,6 +454,8 @@ def fit_latency_line(control_ms, overall_ms) -> LatencyFit:
     y = np.asarray(overall_ms, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("control_ms and overall_ms must be equal-length 1-d")
+    finite(x, "control_ms")
+    finite(y, "overall_ms")
     if x.size < 3:
         raise InsufficientPoints(f"{x.size} points, need at least 3")
     coeffs, *_ = np.linalg.lstsq(np.column_stack([x, np.ones_like(x)]), y, rcond=None)

@@ -544,8 +544,13 @@ def zoh_interval_overshoot(omega_n: float, eta: float, control_dt: float) -> flo
     feedforward drives the joint beyond the commanded velocity inside one
     interval; the sign flips at eta = 1 - omega_n * control_dt / 4. The
     gains are those of zeta = 1 (kp = omega_n^2, kd = 2 omega_n); there is
-    no zeta parameter.
+    no zeta parameter. omega_n and control_dt must be finite and positive,
+    eta in [0, 1].
     """
+    finite_positive(omega_n, "omega_n")
+    finite_positive(control_dt, "control_dt")
+    if not 0.0 <= finite(eta, "eta") <= 1.0:
+        raise ValueError(f"eta {eta} outside [0, 1]")
     kp = omega_n**2
     kd = 2.0 * omega_n
     q = -control_dt / 2.0  # held target is the origin

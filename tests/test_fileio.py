@@ -16,6 +16,7 @@ from extremctl.fileio import (
     read_linkset_jsonl,
     read_pgm,
     read_signal_csv,
+    write_csv,
     write_flow,
     write_linkset_jsonl,
     write_pgm,
@@ -141,6 +142,15 @@ def test_pgm_clips_and_rounds(tmp_path):
     assert read_pgm(path).tolist() == [[0, 13, 255]]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pgm_write_refuses_non_finite_pixel_naming_file(tmp_path, bad):
+    path = tmp_path / "f.pgm"
+    with pytest.raises(ValueError) as info:
+        write_pgm(path, np.array([[12.0, bad]]))
+    assert str(info.value) == f"{path}: non-finite pixel; PGM has no such value"
+    assert not path.exists()
+
+
 def test_pgm_rejects_other_formats(tmp_path):
     path = tmp_path / "f.ppm"
     path.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
@@ -190,6 +200,22 @@ def test_signal_csv_round_trip(tmp_path):
     assert np.array_equal(back.samples, sig.samples)
     assert back.rate_hz == pytest.approx(60.0, rel=1e-9)
     assert back.t0 == pytest.approx(0.5, abs=1e-12)
+
+
+def test_write_csv_rows_are_repr_across_chunks(tmp_path):
+    """Every value is written as repr(float) writes it, rows in order across
+    the chunk boundaries; columns of unequal length, or a header of another
+    width, are refused before the file opens."""
+    rng = np.random.default_rng(6)
+    columns = [np.arange(600), rng.normal(size=600), (rng.normal(size=600) * 1e-300).tolist()]
+    path = tmp_path / "t.csv"
+    write_csv(path, ["k", "x_m", "y_m"], columns)
+    rows = ["k,x_m,y_m"] + [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
+    assert path.read_text() == "\n".join(rows) + "\n"
+    for header, cols in ((["k", "x_m"], columns), (["k", "x_m"], [columns[0], columns[1][:-1]])):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "bad.csv", header, cols)
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_signal_csv_rejects_nonuniform(tmp_path):

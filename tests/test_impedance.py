@@ -250,6 +250,17 @@ def test_config_validation():
         CalibrationConfig(omega_n=10.0, n_envs=1)
     with pytest.raises(ValueError):
         CalibrationConfig(omega_n=10.0, perturbation=0.0)
+    # n_envs and sweeps are integers, never bools, refused naming the field
+    for name, bad, named in [("n_envs", 2.5, "n_envs 2.5 must be an integer"),
+                             ("sweeps", 1.5, "sweeps 1.5 must be an integer"),
+                             ("sweeps", True, "sweeps True must be an integer, not a bool"),
+                             ("n_envs", True, "n_envs True must be an integer, not a bool")]:
+        with pytest.raises(ValueError) as info:
+            CalibrationConfig(omega_n=10.0, **{name: bad})
+        assert str(info.value) == named
+    config = CalibrationConfig(omega_n=10.0, n_envs=np.int64(4), sweeps=np.int32(2))
+    assert (type(config.n_envs), type(config.sweeps)) == (int, int)
+    assert config == CalibrationConfig(omega_n=10.0, n_envs=4, sweeps=2)
 
 
 @pytest.mark.parametrize(

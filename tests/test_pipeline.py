@@ -205,6 +205,14 @@ def test_fit_line_recovers_exact_relation():
         fit_latency_line([1.0, 2.0, 3.0], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_line_refuses_non_finite_entries_naming_them(bad):
+    with pytest.raises(ValueError, match="^control_ms .* must be finite numbers$"):
+        fit_latency_line([10.0, bad, 30.0], [20.0, 30.0, 40.0])
+    with pytest.raises(ValueError, match="^overall_ms .* must be finite numbers$"):
+        fit_latency_line([10.0, 20.0, 30.0], [20.0, 30.0, bad])
+
+
 class LoggingMailbox(LatestValueMailbox):
     """A mailbox that logs the seq of every frame written to it."""
 

@@ -483,6 +483,24 @@ def test_overshoot_metric_sign_structure():
     assert above[-1] == pytest.approx(4.4e-3, rel=0.05)
 
 
+@pytest.mark.parametrize("omega_n, eta, control_dt, named", [
+    (10.0, 0.5, math.inf, "control_dt inf must be finite and positive"),
+    (10.0, 0.5, math.nan, "control_dt nan must be finite and positive"),
+    (10.0, 0.5, -0.02, "control_dt -0.02 must be finite and positive"),
+    (10.0, 0.5, 0.0, "control_dt 0.0 must be finite and positive"),
+    (math.nan, 0.5, 0.02, "omega_n nan must be finite and positive"),
+    (-10.0, 0.5, 0.02, "omega_n -10.0 must be finite and positive"),
+    (10.0, 1.5, 0.02, "eta 1.5 outside [0, 1]"),
+    (10.0, -0.1, 0.02, "eta -0.1 outside [0, 1]"),
+    (10.0, math.nan, 0.02, "eta nan must be a finite number"),
+    (10.0, math.inf, 0.02, "eta inf must be a finite number"),
+])
+def test_overshoot_metric_refuses_inputs_outside_its_formula(omega_n, eta, control_dt, named):
+    with pytest.raises(ValueError) as info:
+        zoh_interval_overshoot(omega_n, eta, control_dt)
+    assert str(info.value) == named
+
+
 # ----------------------------------------------------- measured tracking lag
 
 
