@@ -10,6 +10,9 @@ one frame period.
 Video enters through a deliberately simple block-matching optical flow
 (mean-removed SAD), region averaging, and projection onto a motion
 direction; precomputed flow fields and raw signals are accepted as well.
+A frame sequence is matched a chunk of MATCH_CHUNK consecutive pairs per
+kernel call, so each frame is range-scanned and shifted once (twice at a
+chunk boundary) and numpy's per-call overhead is paid once per chunk.
 """
 
 from __future__ import annotations
@@ -180,8 +183,11 @@ def _search_tables(h: int, w: int, block: int, radius: int):
     return rv, ru, invalid, darr, order
 
 
+_INT_MAX = {t: int(np.iinfo(t).max) for t in (np.int16, np.int32, np.int64)}
+
+
 def _fits(bound: int, dtype) -> bool:
-    return bound <= np.iinfo(dtype).max
+    return bound <= _INT_MAX[dtype]
 
 
 def _window_sums(x: np.ndarray, k: int) -> np.ndarray:
@@ -200,124 +206,195 @@ def _window_sums(x: np.ndarray, k: int) -> np.ndarray:
         width *= 2
 
 
-def _match_tiles(a: np.ndarray, b: np.ndarray, block: int, radius: int,
+# Consecutive frame pairs that _frame_samples matches per kernel call. A
+# call pays numpy's per-call overhead once for all its pairs, and holds
+# MATCH_CHUNK + 1 shifted frames.
+MATCH_CHUNK = 8
+
+
+def _match_chunk(frames, block: int, radius: int,
                  texture_threshold: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """(dv, du): the (nby, nbx) integer tile displacements that
-    block_match_flow paints, for frames that pass _check_match. See
-    block_match_flow for the method."""
-    h, w = a.shape
+    """(dv, du): the (P, nby, nbx) integer tile displacements that
+    block_match_flow paints, for each of the P consecutive pairs of the
+    P + 1 frames, whose pairs pass _check_match. See block_match_flow for
+    the method.
+
+    Each frame's range is read once. Consecutive pairs of integer frames
+    are matched in one run (_match_run) on a shift and dtypes shared by
+    all their frames; a float pair is a run of its own, shifted by its own
+    smallest pixel, as its costs may round."""
+    frames = [np.asarray(f) for f in frames]
+    h, w = frames[0].shape
+    bb = block * block
+    npairs = len(frames) - 1
+    ranges = [(int(f.min()), int(f.max())) if np.can_cast(f.dtype, np.int64) else None
+              for f in frames]
+
+    def integer_run(first: int, last: int):
+        """(lo, term, acc) of frames first..last, acc None if their costs
+        may overflow int64."""
+        lo = min(r[0] for r in ranges[first : last + 1])
+        span = max(r[1] for r in ranges[first : last + 1]) - lo
+        # Every value in _match_run is at most the bound of one term; a
+        # span of at least 1 keeps bb itself inside it.
+        term_bound = (2 * bb - 1) * max(span, 1)
+        acc = next((t for t in (np.int32, np.int64) if _fits(bb * term_bound, t)), None)
+        return lo, (np.int16 if _fits(term_bound, np.int16) else acc), acc
+
+    def exact_texture(k: int) -> bool:
+        # Every step of the float64 texture test is exact on this pair's pixels.
+        (a_lo, a_hi), (b_lo, b_hi) = ranges[k], ranges[k + 1]
+        span = max(a_hi, b_hi) - min(a_lo, b_lo)
+        return block & (block - 1) == 0 and bb * bb * max(-a_lo, a_hi, span) < 2**53
+
+    integer = [None not in ranges[k : k + 2] and integer_run(k, k + 1)[2] is not None
+               for k in range(npairs)]
+    winner = np.zeros((npairs, (h // block) * (w // block)), dtype=np.intp)
+    for is_integer, group in itertools.groupby(range(npairs), integer.__getitem__):
+        group = list(group)
+        if is_integer and integer_run(group[0], group[-1] + 1)[2] is not None:
+            runs = [(group[0], group[-1] + 1)]
+        else:  # float pairs, and integer pairs too wide to share a shift
+            runs = [(k, k + 1) for k in group]
+        for first, last in runs:
+            run = frames[first : last + 1]
+            if is_integer:
+                lo, term, acc = integer_run(first, last)
+                exact = [exact_texture(k) for k in range(first, last)]
+            else:
+                run = [np.asarray(f, dtype=float) for f in run]
+                if not all(np.isfinite(f).all() for f in run):
+                    raise ValueError("frames contain non-finite pixels")
+                lo = min(float(f.min()) for f in run)
+                term = acc = np.float64
+                exact = [False]
+            winner[first:last] = _match_run(run, lo, term, acc, exact, block, radius,
+                                            texture_threshold)
+    darr = _search_tables(h, w, block, radius)[3]
+    shape = (npairs, h // block, w // block)
+    return darr[winner, 0].reshape(shape), darr[winner, 1].reshape(shape)
+
+
+def _match_run(frames, lo, term, acc, exact_texture, block: int, radius: int,
+               texture_threshold: float) -> np.ndarray:
+    """(P, nby*nbx) tie-order indices of the winning displacements of the P
+    consecutive pairs of frames, matched on pixels minus lo in the term
+    dtype with costs in acc (float64: the float kernel). exact_texture[k]
+    says whether pair k's texture test may be read from integer sums."""
+    h, w = frames[0].shape
     nby, nbx = h // block, w // block
     h2, w2 = nby * block, nbx * block
     bb = block * block
-    rv, ru, invalid, darr, order = _search_tables(h, w, block, radius)
+    rv, ru, invalid, _, order = _search_tables(h, w, block, radius)
     nv, nu = 2 * rv + 1, 2 * ru + 1
-
-    acc, exact_texture = None, False
-    if np.can_cast(a.dtype, np.int64) and np.can_cast(b.dtype, np.int64):
-        a_lo, a_hi = int(a.min()), int(a.max())
-        lo = min(a_lo, int(b.min()))
-        span = max(a_hi, int(b.max())) - lo
-        # Every value below is at most the bound of one term; a span of at
-        # least 1 keeps bb itself inside it.
-        term_bound = (2 * bb - 1) * max(span, 1)
-        acc = next((t for t in (np.int32, np.int64) if _fits(bb * term_bound, t)), None)
-        # Every step of the float64 texture test is exact on these pixels.
-        exact_texture = block & (block - 1) == 0 and bb * bb * max(-a_lo, a_hi, span) < 2**53
-    if acc is None:
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            raise ValueError("frames contain non-finite pixels")
-        lo = min(float(a.min()), float(b.min()))
-        acc = term = np.float64
-    else:
-        term = np.int16 if _fits(term_bound, np.int16) else acc
+    npairs = len(frames) - 1
+    winner = np.zeros((npairs, nby * nbx), dtype=np.intp)
 
     # lo in the term dtype. On integer frames it and the pixels are cast
     # with wrap-around, which leaves every difference, in [0, span], exact.
     lo_term = np.array(lo).astype(term)
-
-    def shifted(img, out):
-        # img - lo, in the term dtype
-        np.subtract(img, lo_term, out=out, dtype=term, casting="unsafe")
-
-    # Frame a minus lo, and frame b minus lo zero-padded by the radius, so
-    # that padded row i is frame row i - rv; the pad only feeds
-    # displacements masked below.
-    a_shift = np.empty((h2, w2), dtype=term)
-    shifted(a[:h2, :w2], a_shift)
-    pad = np.zeros((h2 + 2 * rv, w2 + 2 * ru), dtype=term)
+    # Every frame minus lo, once, zero-padded by the radius, so that padded
+    # row i is frame row i - rv; the pad only feeds displacements masked
+    # below. Plane k is the frame b of pair k - 1 and, inside the pad, the
+    # frame a of pair k.
+    planes = np.zeros((npairs + 1, h2 + 2 * rv, w2 + 2 * ru), dtype=term)
     rows, cols = min(h, h2 + rv), min(w, w2 + ru)
-    shifted(b[:rows, :cols], pad[rv : rv + rows, ru : ru + cols])
+    np.subtract(np.stack([img[:rows, :cols] for img in frames]), lo_term,
+                out=planes[:, rv : rv + rows, ru : ru + cols], dtype=term, casting="unsafe")
 
-    # The searched tiles t = ty*nbx + tx (see "Searched tiles" in
+    # The searched tiles, as (pair, ty, tx) triples (see "Searched tiles" in
     # block_match_flow).
     if acc is np.float64:
-        tiles = np.arange(nby * nbx)
+        pair, ty, tx = np.unravel_index(np.arange(npairs * nby * nbx), (npairs, nby, nbx))
     else:
-        diff = (a_shift - pad[rv : rv + h2, ru : ru + w2]).reshape(nby, block, nbx, block)
-        tiles = np.flatnonzero((diff != diff[:, :1, :, :1]).any(axis=1).any(axis=2))
-    n = tiles.size
-    # The searched tiles of a (..., nby, nbx) array, in the order of tiles.
-    # With every tile searched, slices give that order without a gather.
-    at = (..., slice(None), slice(None)) if n == nby * nbx else (..., *np.divmod(tiles, nbx))
+        inner = planes[:, rv : rv + h2, ru : ru + w2]
+        diff = (inner[:-1] - inner[1:]).reshape(npairs, nby, block, w2)
+        # A tile's a - b is one constant if every row equals the tile's
+        # first row and that row is constant.
+        moving = (diff != diff[:, :, :1]).any(axis=2).reshape(npairs, nby, nbx, block)
+        first = diff[:, :, 0].reshape(npairs, nby, nbx, block)
+        pair, ty, tx = np.nonzero((moving | (first != first[..., :1])).any(axis=3))
 
-    def gathered(img, planes_y, planes_x):
-        # out[qy, qx, t] = img[ty*block + qy, tx*block + qx]
-        s = img.strides
-        view = np.ndarray((planes_y, planes_x, nby, nbx), term, img, 0,
-                          (s[0], s[1], block * s[0], block * s[1]))[at]
-        out = np.empty((planes_y, planes_x, n), dtype=term)
-        out.reshape(view.shape)[...] = view
-        return out
-
-    # sa[py, px, t] = bb * (a - lo)[ty*block + py, tx*block + px] - (tile sum)
-    sa = gathered(a_shift, block, block)
-    tile_sums = sa.sum(axis=(0, 1), dtype=term)
-    sa *= bb
-    sa -= tile_sums
-    pb = gathered(pad, block + 2 * rv, block + 2 * ru)
-    # Frame-b tile sums at every displacement: sb[dv, du, t] is the sum of
-    # pb[dv : dv + block, du : du + block, t], taken before pb is scaled.
-    sb = _window_sums(_window_sums(pb, block).swapaxes(0, 1), block).swapaxes(0, 1)
-    pb *= bb
-
-    # cost[dv, du, t] = sum over the tile of max(sa + sb, pb) - bb*sb
-    cost = np.multiply(sb, -bb, dtype=acc)
-    slab = np.empty((block, nv, nu, n), dtype=term)
-    rows_sum = np.empty_like(cost)
-    # pb_px[px][py, dv, du, t] = pb[py + dv, px + du, t]
-    s = pb.strides
-    pb_px = np.ndarray((block,) + slab.shape, term, pb, 0, (s[1], s[0], s[0], s[1], s[2]))
-    # sa_du[py, 0, du, t] = sa[py, px, t], one column at a time: with every
-    # operand of the add contiguous over (du, t), its inner loops run over
-    # nu*n elements rather than n.
-    sa_du = np.empty((block, 1, nu, n), dtype=term)
-    for px in range(block):
-        # slab[py, dv, du, t] = max(sa[py, px, t] + sb[dv, du, t], pb[py + dv, px + du, t])
-        sa_du[...] = sa[:, px, None, None]
-        np.add(sa_du, sb, out=slab)
-        np.maximum(slab, pb_px[px], out=slab)
-        cost += np.add.reduce(slab, axis=0, dtype=acc, out=rows_sum)
-
-    # A displacement counts for a tile only if the displaced tile lies
-    # inside the frame. Every cost is below bb*term_bound, so the dtype's
-    # maximum loses to every valid displacement.
-    cost[invalid[at].reshape(cost.shape)] = np.inf if acc is np.float64 else np.iinfo(acc).max
-    best = np.argmin(cost.reshape(nv * nu, n)[order], axis=0)
-
-    if exact_texture:  # the float64 test below, read from exact integer sums
-        texture = np.abs(sa).sum(axis=(0, 1), dtype=np.int64) / bb**2
-    else:
-        a_tiles = np.asarray(a, dtype=float)[:h2, :w2].reshape(nby, block, nbx, block)
+    # The float64 texture test of frame a's tiles, for pairs whose test
+    # cannot be read from exact integer sums.
+    mads = {}
+    for k in (k for k, exact in enumerate(exact_texture) if not exact):
+        a_tiles = np.asarray(frames[k], dtype=float)[:h2, :w2].reshape(nby, block, nbx, block)
         a_tiles = a_tiles.swapaxes(1, 2)
-        texture = np.abs(a_tiles - a_tiles.mean(axis=(2, 3), keepdims=True)).mean(axis=(2, 3))
-        texture = texture.ravel()[tiles]
-    # Index 0 of the tie order is d = 0: flat and unsearched tiles keep it.
-    best[texture <= texture_threshold] = 0
-    winner = np.zeros(nby * nbx, dtype=best.dtype)
-    winner[tiles] = best
-    return darr[winner, 0].reshape(nby, nbx), darr[winner, 1].reshape(nby, nbx)
+        mads[k] = np.abs(a_tiles - a_tiles.mean(axis=(2, 3), keepdims=True)).mean(axis=(2, 3))
+
+    def search(pair, ty, tx):
+        """Tie-order index of the winning displacement of each of these
+        searched tiles."""
+        n = pair.size
+
+        def gathered(offset, planes_y, planes_x, plane):
+            # out[qy, qx, i] = planes[plane[i], y + ty[i]*block + qy,
+            # x + tx[i]*block + qx], with (y, x) the element at offset in plane 0
+            s = planes.strides
+            view = np.ndarray((planes_y, planes_x, npairs + 1, nby, nbx), term, planes,
+                              offset * planes.itemsize,
+                              (s[1], s[2], s[0], block * s[1], block * s[2]))
+            return np.ascontiguousarray(view[..., plane, ty, tx])
+
+        # sa[py, px, i] = bb * (a - lo)[ty*block + py, tx*block + px] - (tile sum)
+        sa = gathered(rv * planes.shape[2] + ru, block, block, pair)
+        tile_sums = sa.sum(axis=(0, 1), dtype=term)
+        sa *= bb
+        sa -= tile_sums
+        pb = gathered(0, block + 2 * rv, block + 2 * ru, pair + 1)
+        # Frame-b tile sums at every displacement: sb[dv, du, i] is the sum
+        # of pb[dv : dv + block, du : du + block, i], taken before pb is
+        # scaled.
+        sb = _window_sums(_window_sums(pb, block).swapaxes(0, 1), block).swapaxes(0, 1)
+        pb *= bb
+
+        # cost[dv, du, i] = sum over the tile of max(sa + sb, pb) - bb*sb
+        cost = np.multiply(sb, -bb, dtype=acc)
+        slab = np.empty((block, nv, nu, n), dtype=term)
+        rows_sum = np.empty_like(cost)
+        # pb_px[px][py, dv, du, i] = pb[py + dv, px + du, i]
+        s = pb.strides
+        pb_px = np.ndarray((block,) + slab.shape, term, pb, 0, (s[1], s[0], s[0], s[1], s[2]))
+        # sa_du[py, 0, du, i] = sa[py, px, i], one column at a time: with
+        # every operand of the add contiguous over (du, i), its inner loops
+        # run over nu*n elements rather than n.
+        sa_du = np.empty((block, 1, nu, n), dtype=term)
+        for px in range(block):
+            # slab[py, dv, du, i] =
+            #     max(sa[py, px, i] + sb[dv, du, i], pb[py + dv, px + du, i])
+            sa_du[...] = sa[:, px, None, None]
+            np.add(sa_du, sb, out=slab)
+            np.maximum(slab, pb_px[px], out=slab)
+            cost += np.add.reduce(slab, axis=0, dtype=acc, out=rows_sum)
+
+        # A displacement counts for a tile only if the displaced tile lies
+        # inside the frame. Every cost is below bb*term_bound, so the
+        # dtype's maximum loses to every valid displacement.
+        cost[invalid[..., ty, tx]] = np.inf if acc is np.float64 else np.iinfo(acc).max
+        best = np.argmin(cost.reshape(nv * nu, n)[order], axis=0)
+
+        # The texture test: the float64 mean absolute deviation of each
+        # tile of frame a, read from the exact integer sums of |sa| where
+        # every step of it is exact.
+        if acc is np.float64:
+            texture = np.empty(n)
+        else:
+            texture = np.abs(sa).sum(axis=(0, 1), dtype=np.int64) / bb**2
+        for k, mad in mads.items():
+            ours = pair == k
+            texture[ours] = mad[ty[ours], tx[ours]]
+        # Index 0 of the tie order is d = 0: flat and unsearched tiles keep it.
+        best[texture <= texture_threshold] = 0
+        return best
+
+    # A search holds a (block, nv, nu, n) slab and polyphase copies of its
+    # n tiles. At most one frame's tiles per search keep that within the
+    # working set of one pair with every tile searched.
+    step = nby * nbx
+    for part in (slice(i, i + step) for i in range(0, pair.size, step)):
+        winner[pair[part], ty[part] * nbx + tx[part]] = search(pair[part], ty[part], tx[part])
+    return winner
 
 
 def block_match_flow(
@@ -339,8 +416,9 @@ def block_match_flow(
     displacement is only tried where the displaced tile lies inside the
     frame.
 
-    Kernel (_match_tiles, which returns the per-tile displacements this
-    function paints): with bb = block**2, the cost of displacement
+    Kernel (_match_chunk, which returns the per-tile displacements of a
+    chunk of consecutive pairs; this function runs it on a chunk of one
+    pair and paints them): with bb = block**2, the cost of displacement
     d = (dv, du) is bb**2 times the mean absolute difference of the
     mean-removed tiles: the sum over the tile pixels p of |x[p]|,
     x[p] = sa[p] + sb - pb[p + d], where sa[p] = bb*a[p] - (tile sum of
@@ -355,7 +433,11 @@ def block_match_flow(
     costs. The frame-b tile sums at every displacement are window sums of
     those planes before they are scaled by bb, built by doubling (windows
     of 1, 2, 4, ... rows, then columns), so they cover the searched tiles
-    only.
+    only. On a chunk, the searched tiles are those of all its pairs, as
+    (pair, ty, tx) triples, and every step above, from the prejudgment
+    below to the texture test, runs once for them all, up to nby*nbx
+    tiles at a time (the working set of one pair with every tile
+    searched).
 
     Searched tiles: on integer frames, a tile whose a - b is one constant
     is not searched and keeps d = 0 (zero-motion prejudgment with a
@@ -369,17 +451,22 @@ def block_match_flow(
 
     Exactness and dtype: frames of integer dtype (what read_pgm returns)
     are matched in exact integer arithmetic on pixels shifted by the
-    smallest pixel of either frame. With span the largest minus the
-    smallest pixel (at least 1), every term lies in [0, (2*bb - 1)*span],
-    and every set-up value within that bound in magnitude. Terms are int16
-    when the bound fits (8-bit frames up to block 8) and otherwise in the
-    accumulation dtype. Costs accumulate in int32 when bb*(2*bb - 1)*span
+    smallest pixel of either frame; on a chunk, consecutive integer pairs
+    share the smallest pixel and the span of all their frames, which
+    leaves every cost the same exact integer (the costs are
+    shift-invariant). With span the largest minus the smallest pixel (at
+    least 1), every term lies in [0, (2*bb - 1)*span], and every set-up
+    value within that bound in magnitude. Terms are int16 when the bound
+    fits (8-bit frames up to block 8) and otherwise in the accumulation
+    dtype. Costs accumulate in int32 when bb*(2*bb - 1)*span
     fits and in int64 otherwise. Every cost is then exact, and for
     power-of-two blocks it equals bb**2 / 2 times the float64
     per-displacement mean-removed SAD, so the same displacement wins.
     Float frames, uint64 frames and integer frames whose bound overflows
     int64 are matched in float64 by the same kernel, where near-equal
-    costs may round either way. The texture test is the float64 mean
+    costs may round either way; such a pair is matched on its own, shifted
+    by its own smallest pixel, whatever chunk it is in, so its costs round
+    as when it is matched alone. The texture test is the float64 mean
     absolute deviation of each tile; for integer frames and power-of-two
     blocks every step of it is exact (all values below 2**53), so it is
     read from the integer sum of |sa| instead. Frames holding NaN or inf
@@ -388,7 +475,8 @@ def block_match_flow(
     a = np.asarray(frame_a)
     b = np.asarray(frame_b)
     _check_match(a.shape, b.shape, block, radius)
-    dv, du = _match_tiles(a, b, block, radius, texture_threshold)
+    dv, du = _match_chunk([a, b], block, radius, texture_threshold)
+    dv, du = dv[0], du[0]
 
     h, w = a.shape
     nby, nbx = dv.shape
@@ -628,13 +716,17 @@ def _frame_samples(frames, region: RegionSpec, block: int, radius: int):
 
     Every refusal of block_match_flow, fewer than 2 frames, and then a
     region outside the frames, is raised here, before any pair is matched.
-    Each sample is project_region(block_match_flow(a, b, block, radius),
-    region) bit for bit, taken from the tile displacements without
-    painting a field. Every painted value is a small integer and border
-    pixels are 0, so the sum over the region is the sum over tiles of d
-    times the tile's pixel overlap with the region: an integer below
-    2**53, which np.mean also sums exactly, and both divide it once by
-    the region's pixel count."""
+    The pairs are matched MATCH_CHUNK at a time, by one _match_chunk call
+    on MATCH_CHUNK + 1 consecutive frames (fewer at the end), each chunk
+    starting at the frame the one before ended on. Each sample is
+    project_region(block_match_flow(a, b, block, radius), region) bit for
+    bit, taken from the tile displacements without painting a field.
+    Every painted value is a small integer and border pixels are 0, so
+    the sum over the region is the sum over tiles of d times the tile's
+    pixel overlap with the region: an integer below 2**53, which np.mean
+    also sums exactly, and both divide it once by the region's pixel
+    count. A chunk's sums are taken in one pass, one exact integer per
+    pair."""
     frames = list(frames)
     if len(frames) < 2:
         raise ValueError("need at least 2 frames")
@@ -654,9 +746,10 @@ def _frame_samples(frames, region: RegionSpec, block: int, radius: int):
     dir_x, dir_y = region.direction
 
     def samples():
-        for a, b in zip(frames, frames[1:]):
-            dv, du = _match_tiles(np.asarray(a), np.asarray(b), block, radius)
-            yield int((du * weights).sum()) / area * dir_x + int((dv * weights).sum()) / area * dir_y
+        for start in range(0, len(frames) - 1, MATCH_CHUNK):
+            dv, du = _match_chunk(frames[start : start + MATCH_CHUNK + 1], block, radius)
+            su, sv = (du * weights).sum(axis=(1, 2)), (dv * weights).sum(axis=(1, 2))
+            yield from su / area * dir_x + sv / area * dir_y
 
     return samples()
 
@@ -679,12 +772,14 @@ def analyze_pair(
     quasi-periodic motion gives the correlation a clear phase structure to
     lock onto.
 
-    Frame and flow sources stream. Each consecutive frame pair is matched
-    and projected through the region straight from its tile displacements
-    (see _frame_samples), so no flow field is built for frame input; flow
-    fields are projected as they arrive, as in flow_signal. Memory does
-    not grow with the number of frames beyond the frames themselves, which
-    are held as read. Both sides are checked before either is matched: a
+    Frame and flow sources stream. Frame pairs are matched a chunk of
+    MATCH_CHUNK consecutive pairs at a time, each frame range-scanned and
+    shifted once per chunk, and projected through the region straight
+    from their tile displacements (see _frame_samples), so no flow field
+    is built for frame input; flow fields are projected as they arrive, as
+    in flow_signal. Memory does not grow with the number of frames beyond
+    the frames themselves, which are held as read, and one chunk's working
+    arrays. Both sides are checked before either is matched: a
     missing region or fps, an empty source, fewer than 2 frames, every
     refusal block_match_flow would give for the frames, and a region
     outside the first frame or flow.

@@ -488,22 +488,23 @@ def run_episode(
 def frequency_response(gains: GainSchedule, omega: Union[float, np.ndarray]):
     """Closed-loop magnitude and phase (radians) at drive frequency omega.
 
-    Valid for critically damped impedance-derived gains (zeta = 1); phase
-    is continued through omega = omega_n via atan2. Returns per-joint
-    arrays shaped like broadcast(omega, joints).
+    H(jw) = (wn^2 + j 2 zeta eta wn w) / (wn^2 - w^2 + j 2 zeta wn w), for
+    impedance-derived gains with zeta > 0; phase is continued through
+    omega = omega_n via atan2. Returns per-joint arrays shaped like
+    broadcast(omega, joints).
     """
     if gains.omega_n is None or gains.zeta is None:
         raise ValueError("frequency_response needs impedance-derived gains (omega_n, zeta)")
-    if not np.allclose(gains.zeta, 1.0):
-        raise ValueError(f"frequency_response assumes zeta = 1, got {gains.zeta}")
+    zeta = finite_positive(gains.zeta, "zeta")
     omega = finite_positive(np.asarray(omega, dtype=float), "omega")
     wn = gains.omega_n
     eta = gains.eta
-    num = wn**2 + 1j * 2.0 * eta * wn * omega
-    den = wn**2 - omega**2 + 1j * 2.0 * wn * omega
+    num = wn**2 + 1j * 2.0 * zeta * eta * wn * omega
+    den = wn**2 - omega**2 + 1j * 2.0 * zeta * wn * omega
     mag = np.abs(num) / np.abs(den)
-    phase = np.arctan2(2.0 * eta * omega, wn) - np.arctan2(2.0 * wn * omega, wn**2 - omega**2)
-    # First term written as atan2(2 eta (w/wn), 1) == atan(2 eta w / wn).
+    phase = (np.arctan2(2.0 * zeta * eta * omega, wn)
+             - np.arctan2(2.0 * zeta * wn * omega, wn**2 - omega**2))
+    # First term written as atan2(2 zeta eta (w/wn), 1) == atan(2 zeta eta w / wn).
     return mag, phase
 
 
@@ -514,45 +515,56 @@ def equivalent_delay(gains: GainSchedule) -> np.ndarray:
     return 2.0 * gains.zeta * (1.0 - gains.eta) / gains.omega_n
 
 
-def max_feedforward_ratio(omega_n: float, control_dt: float) -> float:
+def _damping(zeta: float) -> float:
+    """zeta, if it is a finite, non-negative damping ratio."""
+    if not finite(zeta, "zeta") >= 0.0:
+        raise ValueError(f"zeta {zeta} must be non-negative")
+    return zeta
+
+
+def max_feedforward_ratio(omega_n: float, control_dt: float, zeta: float = 1.0) -> float:
     """Largest eta that avoids intra-interval overshoot under ZOH targets.
 
     The hold makes the proportional term fight a stale target for half a
-    period on average; staying at or below 1 - omega_n * control_dt / 4
-    keeps the net torque from accelerating the joint beyond the commanded
-    velocity. Raises Infeasible when omega_n * control_dt >= 4 (no valid
-    ratio). Derived for critical damping, zeta = 1 (kd = 2 omega_n per
-    unit inertia); the bound does not hold for other damping ratios.
+    period on average. At the start of an interval the net torque per unit
+    inertia is qdot_t (omega_n^2 dt / 2 - 2 zeta omega_n (1 - eta)), so
+    staying at or below 1 - omega_n * control_dt / (4 zeta) keeps it from
+    accelerating the joint beyond the commanded velocity (kd = 2 zeta
+    omega_n per unit inertia). Raises Infeasible when omega_n * control_dt
+    >= 4 zeta (no valid ratio), which includes zeta = 0.
     """
     finite_positive(omega_n, "omega_n")
     finite_positive(control_dt, "control_dt")
-    if omega_n * control_dt >= 4.0:
+    limit = 4.0 * _damping(zeta)
+    if omega_n * control_dt >= limit:
         raise Infeasible(
-            f"omega_n * control_dt = {omega_n * control_dt:g} >= 4: no feasible feedforward ratio"
+            f"omega_n * control_dt = {omega_n * control_dt:g} >= {limit:g}: "
+            f"no feasible feedforward ratio"
         )
-    return 1.0 - omega_n * control_dt / 4.0
+    return 1.0 - omega_n * control_dt / limit
 
 
-def zoh_interval_overshoot(omega_n: float, eta: float, control_dt: float) -> float:
+def zoh_interval_overshoot(omega_n: float, eta: float, control_dt: float,
+                           zeta: float = 1.0) -> float:
     """Per-interval overshoot metric for zero-order-held targets.
 
     Simulates a single hold interval, in 1e-5 s steps, for a unit-inertia
-    joint that starts at the commanded velocity qdot_t = 1, displaced
-    behind the held target by the mean ZOH deviation qdot_t * dt / 2, and
-    returns the peak velocity excess (qdot - qdot_t) / qdot_t. The loop is
-    linear, so any other qdot_t gives the same ratio. Positive means the
-    feedforward drives the joint beyond the commanded velocity inside one
-    interval; the sign flips at eta = 1 - omega_n * control_dt / 4. The
-    gains are those of zeta = 1 (kp = omega_n^2, kd = 2 omega_n); there is
-    no zeta parameter. omega_n and control_dt must be finite and positive,
-    eta in [0, 1].
+    joint under kp = omega_n^2 and kd = 2 zeta omega_n that starts at the
+    commanded velocity qdot_t = 1, displaced behind the held target by the
+    mean ZOH deviation qdot_t * dt / 2, and returns the peak velocity
+    excess (qdot - qdot_t) / qdot_t. The loop is linear, so any other
+    qdot_t gives the same ratio. Positive means the feedforward drives the
+    joint beyond the commanded velocity inside one interval; the sign
+    flips at eta = 1 - omega_n * control_dt / (4 zeta), the bound of
+    max_feedforward_ratio. omega_n and control_dt must be finite and
+    positive, eta in [0, 1] and zeta finite and non-negative.
     """
     finite_positive(omega_n, "omega_n")
     finite_positive(control_dt, "control_dt")
     if not 0.0 <= finite(eta, "eta") <= 1.0:
         raise ValueError(f"eta {eta} outside [0, 1]")
     kp = omega_n**2
-    kd = 2.0 * omega_n
+    kd = 2.0 * _damping(zeta) * omega_n
     q = -control_dt / 2.0  # held target is the origin
     qdot = 1.0
     worst = -np.inf

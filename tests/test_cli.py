@@ -992,7 +992,7 @@ def test_latency_checks_flags_before_matching(tmp_path, capsys, monkeypatch, fla
     def no_matching(*args, **kwargs):
         raise AssertionError("frames read or block-matched before the flags were checked")
 
-    monkeypatch.setattr(latency, "_match_tiles", no_matching)
+    monkeypatch.setattr(latency, "_match_chunk", no_matching)
     monkeypatch.setattr(fileio, "read_frame_dir", no_matching)
     rng = np.random.default_rng(4)
     for view in ("a", "b"):
@@ -1033,8 +1033,8 @@ def test_latency_checks_frames_before_matching(tmp_path, capsys, monkeypatch, ba
     from extremctl import latency
 
     calls = []
-    real = latency._match_tiles
-    monkeypatch.setattr(latency, "_match_tiles",
+    real = latency._match_chunk
+    monkeypatch.setattr(latency, "_match_chunk",
                         lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
     _write_views(tmp_path)
     region_b, extra = "0,0,16,16,1,0", []

@@ -452,6 +452,103 @@ def test_frame_samples_equal_projected_flow(hypothesis_settings):
     check()
 
 
+def test_frame_samples_equal_projected_flow_across_chunks(hypothesis_settings):
+    """_frame_samples matches a chunk of consecutive pairs per kernel call;
+    each sample still equals project_region(block_match_flow(a, b),
+    region) bit for bit. Sequences of 2, C, C + 1, C + 2 and 2C + 3 frames
+    (C = MATCH_CHUNK) of four kinds: uint16 frames whose pixel range
+    drifts from frame to frame, so a chunk's shared shift and dtypes are
+    wider than one pair's own; a static first chunk (every a - b one
+    constant: no tile searched) before moving frames; float64 frames with
+    fractional pixels; and uint8 frames mixed with float64 ones."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from extremctl import latency
+
+    st = hypothesis.strategies
+    chunk = latency.MATCH_CHUNK
+    wider = []
+
+    @hypothesis_settings(150)
+    @hypothesis.given(
+        st.sampled_from([4, 5, 8]),
+        st.sampled_from([2, chunk, chunk + 1, chunk + 2, 2 * chunk + 3]),
+        st.sampled_from(["drifting uint16", "static first chunk", "float64", "uint8 and float64"]),
+        st.data(),
+    )
+    def check(block, length, kind, data):
+        h = block * data.draw(st.integers(1, 3)) + data.draw(st.integers(0, block - 1))
+        w = block * data.draw(st.integers(1, 3)) + data.draw(st.integers(0, block - 1))
+        radius = data.draw(st.one_of(st.integers(0, 5), st.just(max(h, w) + 2)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        scene = [rng.integers(0, 151, (h, w))]
+        for _ in range(length - 1):  # shifted and noisy: some tiles are searched
+            moved = np.roll(scene[-1], rng.integers(-2, 3, 2), axis=(0, 1))
+            scene.append(np.clip(moved + rng.integers(-2, 3, (h, w)), 0, 150))
+        if kind == "drifting uint16":
+            # A pair spans at most 150 + step, which keeps its terms in
+            # int16; four consecutive frames or more do not.
+            pair_span = 32767 // (2 * block**2 - 1)
+            step = data.draw(st.integers(pair_span // 3, pair_span - 150))
+            frames = [(f + k * step).astype(np.uint16) for k, f in enumerate(scene)]
+
+            def term_bound(fs):  # of the kernel's terms over these frames' span
+                span = int(max(f.max() for f in fs)) - int(min(f.min() for f in fs))
+                return (2 * block**2 - 1) * max(span, 1)
+
+            first = frames[: chunk + 1]
+            pair_bound = max(term_bound(first[k : k + 2]) for k in range(len(first) - 1))
+            wider.append(term_bound(first) > 32767 >= pair_bound)
+        elif kind == "static first chunk":
+            frames = [(scene[0] + k).astype(np.uint8) for k in range(min(length, chunk + 1))]
+            frames += [f.astype(np.uint8) for f in scene[len(frames):]]
+        elif kind == "float64":
+            frames = [f + rng.random((h, w)) for f in scene]
+        else:
+            floats = rng.random(length) < 0.5
+            frames = [f + rng.random((h, w)) if is_float else f.astype(np.uint8)
+                      for f, is_float in zip(scene, floats)]
+        x, y = data.draw(st.integers(0, w - 1)), data.draw(st.integers(0, h - 1))
+        rw, rh = data.draw(st.integers(1, w - x)), data.draw(st.integers(1, h - y))
+        direction = data.draw(st.sampled_from([(1.0, 0.0), (0.0, -1.0), (0.6, -0.8), (-3.0, 7.0)]))
+        region = RegionSpec(x, y, rw, rh, direction)
+        got = list(latency._frame_samples(frames, region, block, radius))
+        want = [project_region(block_match_flow(f, g, block, radius), region)
+                for f, g in zip(frames, frames[1:])]
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (kind, got, want)
+
+    check()
+    # The drifting frames reach chunks whose terms are wider than int16
+    # while each pair's own terms fit it.
+    assert sum(wider) >= 10
+
+
+def test_chunk_of_integer_pairs_too_wide_to_share_a_shift():
+    """int64 frames drifting by 2**54 per frame: each pair's costs fit
+    int64, but those of three consecutive frames do not, so the chunk
+    matches each pair on its own shift. Every pair equals the exact
+    integer brute force and block_match_flow."""
+    from extremctl import latency
+
+    block, radius = 4, 2
+    scene = np.random.default_rng(12).integers(0, 200, (14, 14))
+    frames = [np.roll(scene, (k % 3 - 1, k % 2), axis=(0, 1)) + k * 2**54 for k in range(5)]
+
+    def cost_bound(span):  # of block_match_flow's integer kernel
+        return block**2 * (2 * block**2 - 1) * span
+
+    assert cost_bound(2**54 + 199) < 2**63 <= cost_bound(2**55)
+    dv, du = latency._match_chunk(frames, block, radius)
+    moved = 0
+    for k, (a, b) in enumerate(zip(frames, frames[1:])):
+        want_u, want_v = _exact_flow(a, b, block, radius, 1.0)
+        flow = block_match_flow(a, b, block, radius)
+        assert np.array_equal(flow.u, want_u) and np.array_equal(flow.v, want_v)
+        assert np.array_equal(du[k], want_u[:12:block, :12:block])
+        assert np.array_equal(dv[k], want_v[:12:block, :12:block])
+        moved += bool(du[k].any() or dv[k].any())
+    assert moved >= 3
+
+
 # ----------------------------------------------------------- standardization
 
 
@@ -823,9 +920,9 @@ def test_analyze_pair_refuses_before_matching(monkeypatch):
     good = render_bar(40, fps, 0.0)
     flows = [block_match_flow(a, b, 8, 4) for a, b in zip(good, good[1:3])]
     calls = []
-    real = latency._match_tiles
-    monkeypatch.setattr(latency, "_match_tiles",
-                        lambda a, *args, **kwargs: calls.append(a) or real(a, *args, **kwargs))
+    real = latency._match_chunk
+    monkeypatch.setattr(latency, "_match_chunk", lambda frames, *args, **kwargs:
+                        calls.append(list(frames)) or real(frames, *args, **kwargs))
     odd = good[:30] + [np.zeros((16, 32))] + good[31:]
     outside = RegionSpec(0, 0, 33, 32, (1.0, 0.0))
     cases = [
@@ -854,12 +951,17 @@ def test_analyze_pair_refuses_before_matching(monkeypatch):
     assert calls == []
     # The empty call lists above mean something only while analyze_pair
     # matches through this name, the kernel that block_match_flow paints
-    # from: once per consecutive pair of each side.
+    # from: each side's calls pass its frames in order, every call after
+    # the first starting at the frame the one before ended on, so every
+    # consecutive pair of each side is matched exactly once.
     other = render_bar(36, fps, 3.0 / fps)
     analyze_pair(good, other, region_a=region, region_b=region, fps=fps)
-    assert len(calls) == (len(good) - 1) + (len(other) - 1)
-    assert sum(any(a is f for f in good) for a in calls) == len(good) - 1
-    assert sum(any(a is f for f in other) for a in calls) == len(other) - 1
+    for frames in (good, other):
+        ours = [c for c in calls if any(c[0] is f for f in frames)]
+        assert all(len(c) >= 2 for c in ours)
+        passed = ours[0] + [f for prev, c in zip(ours, ours[1:]) for f in c[1:] if c[0] is prev[-1]]
+        assert len(passed) == len(frames) and all(p is f for p, f in zip(passed, frames))
+    assert len(calls) == sum(-(-(len(f) - 1) // latency.MATCH_CHUNK) for f in (good, other))
 
 
 def test_motion_signal_validation():

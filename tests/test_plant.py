@@ -3,6 +3,7 @@ closed form, episode machinery, and the closed-form tracking analysis."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -412,9 +413,11 @@ def test_frequency_response_input_validation():
     plain = GainSchedule(kp=np.array([100.0]), kd=np.array([20.0]), eta=np.array([0.0]))
     with pytest.raises(ValueError):
         frequency_response(plain, 1.0)
-    under = GainSchedule.from_impedance(1.0, 10.0, zeta=0.7)
-    with pytest.raises(ValueError):
-        frequency_response(under, 1.0)
+    undamped = GainSchedule.from_impedance(1.0, 10.0, zeta=0.0)
+    negative = GainSchedule(kp=100.0, kd=14.0, eta=0.0, omega_n=10.0, zeta=-0.7)
+    for gains, shown in ((undamped, "[0.]"), (negative, "[-0.7]")):
+        with pytest.raises(ValueError, match=re.escape(f"zeta {shown} must be finite and positive")):
+            frequency_response(gains, 1.0)
     with pytest.raises(ValueError):
         frequency_response(unit_gains(), -1.0)
 
@@ -458,6 +461,37 @@ def test_low_frequency_delay_approaches_equivalent_delay():
         assert abs(delay - ell) / ell < 0.01
 
 
+@pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0])
+def test_low_frequency_phase_delay_tends_to_equivalent_delay(zeta):
+    """-phase/w approaches 2 zeta (1 - eta) / omega_n as w -> 0, with an
+    error that shrinks like w**2 (one step of w / 10 cuts it ~100-fold)."""
+    gains = GainSchedule.from_impedance(m_eff=np.ones(3), omega_n=10.0, zeta=zeta,
+                                        eta=np.array([0.0, 0.5, 0.9]))
+    ell = equivalent_delay(gains)
+    assert np.allclose(ell, 2.0 * zeta * (1.0 - gains.eta) / 10.0, rtol=1e-15)
+    errors = []
+    for omega in (1e-1, 1e-2, 1e-3):
+        _, phase = frequency_response(gains, omega)
+        errors.append(np.abs(-phase / omega - ell) / ell)
+    assert np.all(errors[-1] < 1e-5)
+    assert np.all(errors[1] < errors[0] / 50) and np.all(errors[2] < errors[1] / 50)
+
+
+def test_frequency_response_matches_the_loop_at_any_zeta():
+    """Magnitude and phase are those of the complex transfer function
+    (wn^2 + j 2 zeta eta wn w) / (wn^2 - w^2 + j 2 zeta wn w), with the
+    phase unwrapped through omega_n."""
+    zeta = np.array([0.3, 0.7, 2.0])
+    gains = GainSchedule.from_impedance(m_eff=np.ones(3), omega_n=10.0, zeta=zeta,
+                                        eta=np.array([0.2, 0.9, 0.5]))
+    omegas = np.linspace(0.5, 40.0, 80)[:, None]
+    mag, phase = frequency_response(gains, omegas)
+    h = (100.0 + 2j * zeta * gains.eta * 10.0 * omegas) / (
+        100.0 - omegas**2 + 2j * zeta * 10.0 * omegas)
+    assert np.allclose(mag, np.abs(h), rtol=1e-12)
+    assert np.allclose(phase, np.unwrap(np.angle(h), axis=0), atol=1e-12)
+
+
 def test_max_feedforward_ratio_values():
     assert max_feedforward_ratio(10.0, 0.02) == 0.95
     assert max_feedforward_ratio(15.0, 0.02) == 0.925
@@ -468,6 +502,39 @@ def test_max_feedforward_ratio_values():
         max_feedforward_ratio(200.0, 0.03)
     with pytest.raises(ValueError):
         max_feedforward_ratio(-1.0, 0.02)
+
+
+def test_max_feedforward_ratio_honours_zeta():
+    """1 - omega_n dt / (4 zeta): Infeasible from omega_n dt >= 4 zeta on,
+    which takes in zeta = 0; a negative or non-finite zeta is refused."""
+    assert max_feedforward_ratio(10.0, 0.02, zeta=0.5) == pytest.approx(0.9, abs=1e-15)
+    assert max_feedforward_ratio(10.0, 0.02, zeta=2.0) == 0.975
+    assert max_feedforward_ratio(10.0, 0.02, zeta=1.0) == max_feedforward_ratio(10.0, 0.02)
+    for omega_n, dt, zeta in ((10.0, 0.2, 0.5), (10.0, 0.1, 0.2), (10.0, 0.02, 0.0)):
+        with pytest.raises(Infeasible, match="no feasible feedforward ratio"):
+            max_feedforward_ratio(omega_n, dt, zeta=zeta)
+    for zeta, named in ((-0.5, "zeta -0.5 must be non-negative"),
+                        (math.nan, "zeta nan must be a finite number")):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            max_feedforward_ratio(10.0, 0.02, zeta=zeta)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            zoh_interval_overshoot(10.0, 0.5, 0.02, zeta=zeta)
+
+
+@pytest.mark.parametrize("zeta", [0.5, 0.7, 2.0])
+def test_overshoot_changes_sign_at_the_generalized_bound(zeta):
+    """With kd = 2 zeta omega_n the velocity excess is negative 0.01 below
+    1 - omega_n dt / (4 zeta) and positive 0.01 above it."""
+    bound = max_feedforward_ratio(10.0, 0.02, zeta=zeta)
+    assert bound == pytest.approx(1.0 - 0.2 / (4.0 * zeta), abs=1e-15)
+    assert zoh_interval_overshoot(10.0, bound - 0.01, 0.02, zeta=zeta) < 0.0
+    assert zoh_interval_overshoot(10.0, bound + 0.01, 0.02, zeta=zeta) > 0.0
+
+
+def test_overshoot_at_unit_zeta_equals_the_default():
+    for eta in (0.0, 0.5, 0.9, 0.96, 1.0):
+        default = zoh_interval_overshoot(10.0, eta, 0.02)
+        assert zoh_interval_overshoot(10.0, eta, 0.02, zeta=1.0) == default
 
 
 def test_overshoot_metric_sign_structure():
